@@ -427,6 +427,8 @@ def _apply_config(ap: argparse.ArgumentParser, argv):
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
+    if idx + 1 == len(argv):  # no path: argparse reports the usage error
+        return argv
     path = argv[idx + 1]
     defaults = {}
     with open(path) as fh:

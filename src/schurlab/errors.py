@@ -67,3 +67,7 @@ class CarlesonViolation(SchurLabError):
 
 class SupportViolation(SchurLabError):
     """A symbol carries mass outside the support required by the operation."""
+
+
+class BadBudget(SchurLabError):
+    """A search budget with a non-integer or out-of-range count, or no candidates."""

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import IndexConstraint
 from .functions import get_function
-from .matrixnum import schatten_norm
+from .matrixnum import marcinkiewicz_norm_from_sv, schatten_norm
 from .schur import (Budget, PointSet, apply_bilinear, diagonal_part, m_plus,
                     m_plus_symbol, norm_lower_search, triangular_truncation,
                     truncation_symbol)
@@ -353,8 +353,5 @@ def extrapolation_experiment(n: int = 128, trials: int = 50, seed: int = 0,
         x /= np.linalg.norm(x)
         y /= np.linalg.norm(y)
         t = apply_bilinear(tab, X, x, y)
-        s = np.linalg.svd(t, compute_uv=False)
-        csum = np.cumsum(s)
-        ts = np.arange(1, len(s) + 1)
-        sups[trial] = float(np.max(csum / np.log1p(ts)))
+        sups[trial] = marcinkiewicz_norm_from_sv(np.linalg.svd(t, compute_uv=False))
     return ExtrapolationReport(n, trials, seed, float(np.max(sups)), sups)

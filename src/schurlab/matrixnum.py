@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import BadExponent, ConvergenceFailure, DimensionMismatch
 
@@ -68,42 +67,21 @@ def decreasing_rearrangement(a, t: float) -> float:
     return float(s[idx]) if idx < len(s) else 0.0
 
 
-def _segment_max(c: float, slope: float, m: int):
-    """max of (c + slope*(t-m)) / log(1+t) over [m, m+1] for m >= 1.
-
-    The ratio has at most one interior critical point (a minimum), so the
-    maximum sits at an endpoint; a bracketed search is run as a guard.
-    """
-    def ratio(t):
-        return (c + slope * (t - m)) / math.log1p(t)
-
-    best = max(ratio(m), ratio(m + 1))
-    res = minimize_scalar(lambda t: -ratio(t), bounds=(m, m + 1), method="bounded",
-                          options={"xatol": 1e-10})
-    if res.success:
-        best = max(best, -float(res.fun))
-    return best
+def marcinkiewicz_norm_from_sv(s: np.ndarray) -> float:
+    """max_k (s_1 + ... + s_k) / log(1 + k) for non-increasing values s."""
+    csum = np.cumsum(s)
+    return float(np.max(csum / np.log1p(np.arange(1, len(s) + 1))))
 
 
 def marcinkiewicz_norm(a) -> float:
     """sup_t (integral_0^t mu_s ds) / log(1+t), the M_{1,inf} quasi-norm.
 
-    The integral is piecewise linear with integer breakpoints; the supremum is
-    taken exactly segment by segment (on [0,1] the ratio is increasing, and
-    past the rank the numerator is constant while log grows).
+    The integral is piecewise linear with integer breakpoints, and on each
+    segment [m, m+1] the ratio has at most one interior critical point, a
+    minimum; on [0, 1] it is increasing, and past the rank the numerator is
+    constant while log grows.  So the supremum sits at a breakpoint t = k.
     """
-    s = singular_values(a)
-    s = s[s > 0]
-    if len(s) == 0:
-        return 0.0
-    best = float(s[0]) / math.log(2.0)  # t = 1 endpoint of the first segment
-    cum = float(s[0])
-    for m in range(1, len(s)):
-        best = max(best, _segment_max(cum, float(s[m]), m))
-        cum += float(s[m])
-    # beyond t = rank the ratio only decays
-    best = max(best, cum / math.log1p(len(s)))
-    return best
+    return marcinkiewicz_norm_from_sv(singular_values(a))
 
 
 def cumulative_singular_integral(s: np.ndarray, t: float) -> float:

@@ -6,22 +6,43 @@ couples an intermediate index,
     C_il = sum_j m(x_i, x_j, x_l) * A_ij * B_jl.
 
 Norm estimation is lower-bound only: random complex Gaussian restarts followed
-by normalized subgradient ascent on the achieved ratio, with the Schatten-norm
-subgradient read off the SVD factors.  Reported values are achieved ratios and
-therefore certified lower bounds of the true multiplier norms.
+by normalized subgradient ascent on the achieved ratio, then a dual-alignment
+polish (Higham's nonlinear power method, "Estimating the matrix p-norm",
+Numer. Math. 1992) whose norming step uses the SVD.
+
+The Schatten-norm subgradient has two paths.  For an even integer exponent
+p = 2k no SVD is needed: with f = ||Z||_F, Y = Z/f and G = Y^*Y,
+
+    ||Z||_p = f tr(G^k)^(1/p),    D = Y G^(k-1) (f/||Z||_p)^(p-1),
+
+where G^(k-1) comes from repeated squaring; the SVD is used only when the
+scaled trace underflows or is not finite.  Every other exponent reads norm
+and subgradient off the SVD factors.  On the Gram path the best value of each
+restart is re-measured by one SVD of its witness, so every reported value is
+an SVD-measured achieved ratio and therefore a certified lower bound of the
+true multiplier norm.
+
+The search runs with the bundled OpenBLAS pinned to one thread (restored
+afterwards), so its results do not depend on the BLAS or pool thread count.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import numbers
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BadExponent, DimensionMismatch
+from .errors import BadBudget, BadExponent, DimensionMismatch
 from .matrixnum import as_matrix, schatten_norm_from_sv
 
 _TINY = 1e-300
@@ -37,6 +58,8 @@ class PointSet:
         vals = np.asarray(self.labels, dtype=float)
         if vals.ndim != 1 or len(vals) == 0:
             raise ValueError("labels must be a non-empty 1-d sequence")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("labels must be finite")
         if np.any(np.diff(vals) <= 0):
             raise ValueError("labels must be strictly increasing and distinct")
         object.__setattr__(self, "labels", tuple(float(v) for v in vals))
@@ -188,6 +211,12 @@ class Budget:
     iterations: int = 60
     seed: int = 0
 
+    def __post_init__(self):
+        for name, low in (("restarts", 0), ("iterations", 1)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < low:
+                raise BadBudget(f"{name} must be an integer >= {low}, got {v!r}")
+
 
 @dataclass
 class EstimateResult:
@@ -201,8 +230,14 @@ def _check_open_exponent(p):
         raise BadExponent(f"exponent must lie in (1, inf), got {p}")
 
 
-def _subgradient(z: np.ndarray, p: float):
-    """(norm, D) with d||Z||_p = Re tr(D^* dZ) at Z = z."""
+def _even_half(p) -> int:
+    """k for an even integer exponent p = 2k, else 0."""
+    if p < np.inf and p == int(p) and int(p) % 2 == 0:
+        return int(p) // 2
+    return 0
+
+
+def _svd_subgradient(z: np.ndarray, p: float):
     u, s, vh = np.linalg.svd(z)
     norm = schatten_norm_from_sv(s, p)
     if norm == 0.0:
@@ -213,8 +248,43 @@ def _subgradient(z: np.ndarray, p: float):
     return norm, (u * w) @ vh
 
 
+def _subgradient(z: np.ndarray, p: float):
+    """(norm, D) with d||Z||_p = Re tr(D^* dZ) at Z = z."""
+    k = _even_half(p)
+    f = float(np.linalg.norm(z)) if k else 0.0
+    if _TINY < f < np.inf:
+        y = z / f
+        w = y if k == 1 else y @ np.linalg.matrix_power(y.conj().T @ y, k - 1)
+        t = float(np.vdot(y, w).real)  # tr G^k
+        if _TINY < t < np.inf:
+            return f * t ** (1.0 / p), w * t ** (1.0 / p - 1.0)
+    return _svd_subgradient(z, p)
+
+
+def _svd_schatten(z: np.ndarray, p: float) -> float:
+    return schatten_norm_from_sv(np.linalg.svd(z, compute_uv=False), p)
+
+
+def _schatten(z: np.ndarray, p: float) -> float:
+    """||Z||_p; for even p, tr G^k is the squared Frobenius norm of G^(k/2)
+    (k even) or Y G^((k-1)/2) (k odd)."""
+    k = _even_half(p)
+    f = float(np.linalg.norm(z)) if k else 0.0
+    if _TINY < f < np.inf:
+        y = z / f
+        if k == 1:
+            w = y
+        else:
+            h = np.linalg.matrix_power(y.conj().T @ y, k // 2)
+            w = y @ h if k % 2 else h
+        t = float(np.vdot(w, w).real)  # tr G^k
+        if _TINY < t < np.inf:
+            return f * t ** (1.0 / p)
+    return _svd_schatten(z, p)
+
+
 def _normalize(x: np.ndarray, p: float) -> np.ndarray:
-    n = schatten_norm_from_sv(np.linalg.svd(x, compute_uv=False), p)
+    n = _schatten(x, p)
     if n < _TINY:
         raise ValueError("cannot normalize the zero matrix")
     return x / n
@@ -274,10 +344,11 @@ def _ascend_linear(t2: np.ndarray, x0: np.ndarray, p: float, iterations: int):
         x = _norming(d * np.conj(t2), p)
         if np.linalg.norm(x) < 1e-14:
             break
-    z = t2 * x
-    norm = schatten_norm_from_sv(np.linalg.svd(z, compute_uv=False), p)
+    norm = _schatten(t2 * x, p)
     if norm > best:
         best, best_x = norm, x
+    if _even_half(p):  # re-certify the Gram-path value by one SVD
+        best = _svd_schatten(t2 * best_x, p)
     return best, best_x
 
 
@@ -318,11 +389,60 @@ def _ascend_bilinear(t3: np.ndarray, x0, y0, p1, p2, p, iterations: int):
         yn = _norming(gy, p2)
         if np.linalg.norm(yn) > 1e-14:
             y = yn
-    z = np.einsum("ijl,ij,jl->il", t3, x, y, optimize=True)
-    norm = schatten_norm_from_sv(np.linalg.svd(z, compute_uv=False), p)
+    norm = _schatten(np.einsum("ijl,ij,jl->il", t3, x, y, optimize=True), p)
     if norm > best:
         best, best_xy = norm, (x, y)
+    if _even_half(p):  # re-certify the Gram-path value by one SVD
+        best = _svd_schatten(np.einsum("ijl,ij,jl->il", t3, *best_xy, optimize=True), p)
     return best, best_xy
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas_threads_api():
+    """(get, set) thread-count calls of numpy's bundled OpenBLAS, or None."""
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libdir.glob("*openblas*.so*")):
+        try:
+            handle = ctypes.CDLL(str(lib))
+            get = handle.scipy_openblas_get_num_threads64_
+            put = handle.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+_pin_lock = threading.Lock()
+_pin_depth = 0
+_pin_saved = 1
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with OpenBLAS on one thread, then restore its count.
+
+    Overlapping searches share one pin: the first to enter saves the count,
+    the last to leave restores it.  A no-op when the symbols are absent."""
+    global _pin_depth, _pin_saved
+    api = _openblas_threads_api()
+    if api is None:
+        yield
+        return
+    get, put = api
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_saved = get()
+            put(1)
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                put(_pin_saved)
 
 
 def default_threads() -> int:
@@ -337,7 +457,9 @@ def norm_lower_search(kind: str, m, X: PointSet, exponents, budget: Budget = Bud
     """Best achieved ratio over seeded candidates plus Gaussian restarts.
 
     Restart r draws its start from default_rng([budget.seed, r]), so the result
-    is independent of how restarts are distributed over threads.
+    is independent of how restarts are distributed over threads; numpy's
+    bundled OpenBLAS runs on one thread meanwhile, which makes it independent
+    of the BLAS thread setting too.
     """
     n = X.n
     if kind == "linear":
@@ -375,20 +497,19 @@ def norm_lower_search(kind: str, m, X: PointSet, exponents, budget: Budget = Bud
 
     jobs = [("seed", s) for s in seeds]
     jobs += [("rand", r) for r in range(budget.restarts)]
+    if not jobs:
+        raise BadBudget("nothing to search: no seeds and budget.restarts == 0")
     workers = default_threads() if threads is None else max(1, threads)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, jobs))
-    else:
-        outcomes = [run(job) for job in jobs]
+    with _one_blas_thread():
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                outcomes = list(pool.map(run, jobs))
+        else:
+            outcomes = [run(job) for job in jobs]
 
-    result = EstimateResult(ratio=0.0, witness=())
-    for ratio, wit in outcomes:
-        result.per_restart.append(ratio)
-        if ratio > result.ratio:
-            result.ratio = ratio
-            result.witness = (wit,) if kind == "linear" else wit
-    return result
+    ratio, wit = max(outcomes, key=lambda o: o[0])  # the first best on ties
+    return EstimateResult(ratio, (wit,) if kind == "linear" else wit,
+                          [o[0] for o in outcomes])
 
 
 def norm_lower_estimate(kind: str, m, X: PointSet, exponents, budget: Budget = Budget(),

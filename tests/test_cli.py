@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 from schurlab.cli import main
 
 
@@ -63,6 +64,23 @@ def test_config_file_defaults(tmp_path, capsys):
 def test_missing_config_is_validation_error():
     assert main(["--config", "/nonexistent/file.cfg", "divdiff",
                  "--f", "sin", "--nodes", "1,2"]) == 2
+
+
+def test_config_without_path_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["divdiff", "--f", "sin", "--nodes", "1,2", "--config"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["--config"])
+    assert exc.value.code == 2
+    assert "--config: expected one argument" in capsys.readouterr().err
+
+
+def test_bad_budget_is_validation_error(capsys):
+    assert main(["schur", "--n", "4", "--iterations", "-3"]) == 2
+    assert main(["schur", "--n", "4", "--restarts", "0"]) == 2
+    assert main(["lowerlab", "sweep", "--n", "4", "--iterations", "0"]) == 2
+    assert "BadBudget" in capsys.readouterr().err
 
 
 def test_dyadic_and_extrapolate_smoke(tmp_path, capsys):

@@ -1,7 +1,18 @@
+import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from schurlab.errors import BadExponent, DimensionMismatch
+import schurlab
+from schurlab import schur
+from schurlab.errors import BadBudget, BadExponent, DimensionMismatch, SchurLabError
 from schurlab.matrixnum import schatten_norm, write_matrix
 from schurlab.schur import (Budget, DiscreteSymbol, PointSet, apply_bilinear,
                             apply_linear, diagonal_part, diagonal_symbol,
@@ -22,6 +33,28 @@ def test_point_set_validation():
     with pytest.raises(ValueError):
         PointSet((2.0, 1.0))
     assert PointSet.integers(3).labels == (1.0, 2.0, 3.0)
+    with pytest.raises(ValueError):
+        PointSet((1.0, float("nan"), 2.0))
+
+
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=6))
+def test_point_set_accepts_exactly_finite_increasing_labels(labels):
+    good = (all(math.isfinite(v) for v in labels)
+            and all(a < b for a, b in zip(labels, labels[1:])))
+    if good:
+        assert PointSet(tuple(labels)).labels == tuple(labels)
+    else:
+        with pytest.raises(ValueError):
+            PointSet(tuple(labels))
+
+
+@given(st.lists(st.floats(-1e6, 1e6), min_size=0, max_size=6, unique=True),
+       st.sampled_from([math.nan, math.inf, -math.inf]), st.integers(0, 6))
+def test_point_set_rejects_any_non_finite_label(labels, bad, at):
+    labels = sorted(labels)
+    labels.insert(min(at, len(labels)), bad)
+    with pytest.raises(ValueError):
+        PointSet(tuple(labels))
 
 
 def test_apply_linear_cases(rng):
@@ -200,3 +233,136 @@ def test_symbol_table_io(tmp_path, rng):
     out = apply_bilinear(DiscreteSymbol.from_table(loaded), X, a, b)
     ref = np.einsum("ijl,ij,jl->il", loaded, a.astype(complex), b.astype(complex))
     np.testing.assert_allclose(out, ref, atol=1e-12)
+
+
+def test_budget_validation():
+    for bad in (dict(restarts=-1), dict(iterations=0), dict(iterations=-3),
+                dict(restarts=1.5), dict(iterations=2.0), dict(restarts=True)):
+        with pytest.raises(BadBudget):
+            Budget(**bad)
+    assert issubclass(BadBudget, SchurLabError)
+    assert Budget(np.int64(2), 3).restarts == 2
+
+
+def test_empty_search_fails_fast():
+    X = PointSet.integers(4)
+    with pytest.raises(BadBudget):
+        norm_lower_search("linear", m_plus_symbol(), X, 4.0, Budget(0, 5, 0))
+    with pytest.raises(BadBudget):
+        norm_lower_search("bilinear", ones_symbol(3), X, (4.0, 4.0, 2.0), Budget(0, 5, 0))
+    res = norm_lower_search("linear", m_plus_symbol(), X, 4.0, Budget(0, 5, 0),
+                            seeds=[np.ones((4, 4))])
+    assert len(res.per_restart) == 1 and res.ratio > 0 and len(res.witness) == 1
+
+
+def _gram_cases(rng, n=12):
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    low = g[:, :3] @ (rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n)))
+    return {"gaussian": g, "rank3": low, "big": 1e150 * g, "small": 1e-150 * g,
+            "big_rank3": 1e150 * low, "small_rank3": 1e-150 * low}
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0, 8.0, 16.0, 32.0])
+def test_gram_path_matches_svd(p, rng, monkeypatch):
+    cases = _gram_cases(rng)
+    want = {name: (schur._svd_subgradient(z, p), schatten_norm(z, p))
+            for name, z in cases.items()}
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("the Gram path called the SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    for name, z in cases.items():
+        (norm, d), ref = want[name]
+        gnorm, gd = schur._subgradient(z, p)
+        assert gnorm == pytest.approx(norm, rel=1e-12), name
+        assert np.linalg.norm(gd - d) <= 1e-12 * np.linalg.norm(d), name
+        assert schur._schatten(z, p) == pytest.approx(ref, rel=1e-12), name
+        unit = schur._normalize(z, p)
+        assert np.linalg.norm(unit - z / ref) <= 1e-12 * np.linalg.norm(z / ref), name
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0, 8.0, 16.0, 32.0])
+def test_gram_path_zero_matrix(p):
+    z = np.zeros((5, 5), dtype=complex)
+    norm, d = schur._subgradient(z, p)
+    assert norm == 0.0 and not np.any(d)
+    assert schur._schatten(z, p) == 0.0
+    with pytest.raises(ValueError):
+        schur._normalize(z, p)
+
+
+def test_gram_path_certified_by_svd(rng):
+    # every reported even-p ratio is the SVD value at its witness
+    X = PointSet.integers(10)
+    res = norm_lower_search("linear", m_plus_symbol(), X, 8.0, Budget(3, 15, 2))
+    (x,) = res.witness
+    assert res.ratio == schur._svd_schatten(m_plus(x, X), 8.0)
+    assert linear_ratio(m_plus_symbol(), X, x, 8.0) == pytest.approx(res.ratio, rel=1e-13)
+
+
+def test_search_restores_blas_threads():
+    api = schur._openblas_threads_api()
+    if api is None:
+        pytest.skip("no bundled OpenBLAS thread control")
+    get, _ = api
+    before = get()
+    with schur._one_blas_thread():
+        assert get() == 1
+        with schur._one_blas_thread():
+            assert get() == 1
+        assert get() == 1
+    assert get() == before
+    norm_lower_search("linear", m_plus_symbol(), PointSet.integers(8), 4.0,
+                      Budget(2, 5, 0), threads=2)
+    assert get() == before
+
+
+def test_blas_pin_under_overlapping_threads():
+    # more threads than cores entering and leaving the pin with a short switch
+    # interval: inside, BLAS is always on one thread; afterwards the count is back
+    api = schur._openblas_threads_api()
+    if api is None:
+        pytest.skip("no bundled OpenBLAS thread control")
+    get, _ = api
+    before = get()
+    seen = []
+
+    def worker():
+        for _ in range(200):
+            with schur._one_blas_thread():
+                seen.append(get())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=worker) for _ in range(8)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert len(seen) == 8 * 200 and set(seen) == {1}
+    assert get() == before
+
+
+_SEARCH = ("import sys; from schurlab.schur import *; "
+           "r = norm_lower_search('linear', m_plus_symbol(), PointSet.integers(int(sys.argv[1])), "
+           "8.0, Budget(2, 20, 0)); print([x.hex() for x in r.per_restart])")
+
+
+@pytest.mark.parametrize("n", [64, 128])  # unpinned, n = 128 differs in the last bits
+def test_search_independent_of_blas_threads(n):
+    env = dict(os.environ, PYTHONPATH=str(Path(schurlab.__file__).parents[1]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    outs = []
+    for threads in (None, "1"):
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        run = subprocess.run([sys.executable, "-c", _SEARCH, str(n)], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        outs.append(run.stdout)
+    assert outs[0] == outs[1]
