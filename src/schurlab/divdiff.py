@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CoincidentPivot, DegenerateTolerance, OrderUnsupported
+from .errors import CoincidentPivot, DegenerateTolerance, NonFiniteNode, OrderUnsupported
 from .functions import KIND_GENERALIZED_ABS, ScalarFunction
 
 DEFAULT_TOL = 1e-9
@@ -52,6 +52,8 @@ def divided_difference(f: ScalarFunction, nodes: Sequence[float], tol: float = D
     n = len(z) - 1
     if n < 0:
         raise ValueError("need at least one node")
+    if not np.all(np.isfinite(z)):
+        raise NonFiniteNode(f"nodes must be finite, got {z[~np.isfinite(z)].tolist()}")
     _check_order(f, n)
 
     means, sizes = _cluster_sorted(z, tol)

@@ -71,3 +71,15 @@ class SupportViolation(SchurLabError):
 
 class BadBudget(SchurLabError):
     """A search budget with a non-integer or out-of-range count, or no candidates."""
+
+
+class NonFiniteNode(SchurLabError):
+    """A divided difference was asked for at a NaN or infinite node."""
+
+
+class NodeUnderflow(SchurLabError, OverflowError):
+    """Geometric node magnitudes q^{k i} underflow double precision."""
+
+
+class BadGrid(SchurLabError):
+    """A sampling grid with a non-finite or non-positive extent, or too few points."""

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IndexConstraint
+from .errors import IndexConstraint, NodeUnderflow
 from .functions import get_function
 from .matrixnum import marcinkiewicz_norm_from_sv, schatten_norm
 from .schur import (Budget, PointSet, apply_bilinear, diagonal_part, m_plus,
@@ -57,7 +57,7 @@ class GeometricDiscretization:
     def nodes(self) -> np.ndarray:
         """Node magnitudes q^{k i}, i = 1..n; only safe when underflow_safe()."""
         if not self.underflow_safe():
-            raise OverflowError(
+            raise NodeUnderflow(
                 "node magnitudes underflow for this (q, k, n); use the log-domain symbol")
         return self.q ** (self.k * np.arange(1, self.n + 1, dtype=float))
 

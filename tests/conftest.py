@@ -5,6 +5,9 @@ an exact-rational one (Fraction arithmetic, for polynomial kernels and s|s| at
 rational nodes) and an extended-precision one (mpmath at >= 40 digits, for the
 transcendental functions).  Both follow the bare textbook recursion with exact
 equality tests and are kept independent of the production path.
+
+The dense exponential sum is the reference for the quadrant factorization
+transform, which production computes by Bluestein's chirp-z algorithm.
 """
 
 from fractions import Fraction
@@ -77,6 +80,15 @@ def abs2_prime_rational(s: Fraction) -> Fraction:
 
 def abs2_rational(s: Fraction) -> Fraction:
     return s * abs(s)
+
+
+def dense_uniform_transform(s, t, x, chunk=256):
+    """sum_k x_k e^{-i s_j t_k}, one block of rows of the N x T exponential
+    matrix at a time."""
+    g = np.empty(len(s), dtype=complex)
+    for start in range(0, len(s), chunk):
+        g[start:start + chunk] = np.exp(-1j * np.outer(s[start:start + chunk], t)) @ x
+    return g
 
 
 @pytest.fixture

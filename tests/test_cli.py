@@ -14,6 +14,20 @@ def test_divdiff_unknown_function_is_validation_error(capsys):
     assert main(["divdiff", "--f", "nope", "--nodes", "1,2"]) == 2
 
 
+def test_non_finite_node_is_validation_error(capsys):
+    assert main(["divdiff", "--f", "sin", "--nodes", "0,nan,1"]) == 2
+    assert main(["divdiff", "--f", "sin", "--nodes", "0,inf"]) == 2
+    assert "NonFiniteNode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", [["--N", "1"], ["--N", "0"], ["--S", "0"],
+                                  ["--S", "-5"], ["--S", "nan"], ["--S", "inf"]])
+def test_bad_factorization_grid_is_validation_error(grid, capsys):
+    assert main(["symcalc", "factorize", "--which", "3"] + grid) == 2
+    assert main(["symcalc", "reconstruct"] + grid) == 2
+    assert "BadGrid" in capsys.readouterr().err
+
+
 def test_bad_tolerance_is_validation_error():
     assert main(["divdiff", "--f", "sin", "--nodes", "1,2", "--tol", "-1"]) == 2
 

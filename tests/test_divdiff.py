@@ -10,7 +10,7 @@ from schurlab.divdiff import (divdiff_partial, divdiff_two_var,
                               divdiff_two_var_grid, divided_difference,
                               node_insertion_split)
 from schurlab.errors import (CoincidentPivot, DegenerateTolerance,
-                             OrderUnsupported)
+                             NonFiniteNode, OrderUnsupported)
 from schurlab.functions import FUNCTIONS, SMOOTH_TEST_SET, get_function
 
 from conftest import (abs2_prime_rational, abs2_rational, mp_divdiff,
@@ -219,3 +219,13 @@ def test_error_conditions():
         divdiff_partial(get_function("abs2"), 2, 1, 0.5, 1.0)
     with pytest.raises(CoincidentPivot):
         node_insertion_split(f, (1.0, 1.0, 2.0), 0, 1, 0.5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(-5, 5), min_size=0, max_size=4),
+       st.sampled_from([math.nan, math.inf, -math.inf]), st.integers(0, 4),
+       st.sampled_from(sorted(FUNCTIONS)))
+def test_non_finite_node_raises(nodes, bad, at, name):
+    nodes.insert(at % (len(nodes) + 1), bad)
+    with pytest.raises(NonFiniteNode):
+        divided_difference(get_function(name), nodes)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from schurlab.errors import IndexConstraint
+from schurlab.errors import IndexConstraint, SchurLabError
 from schurlab.functions import get_function
 from schurlab.lowerlab import (B1Report, GeometricDiscretization,
                                extrapolation_experiment, geometric_point_set,
@@ -28,6 +28,8 @@ def test_discretization_validation():
     deep = GeometricDiscretization(0.5, 40, "B1", 128)
     assert not deep.underflow_safe()
     with pytest.raises(OverflowError):
+        deep.nodes()
+    with pytest.raises(SchurLabError):  # the CLI maps it to exit status 2
         deep.nodes()
 
 

@@ -1,16 +1,20 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from schurlab.decomp import SectorPartition
-from schurlab.errors import OriginQuery, SupportViolation
-from schurlab.symcalc import (HomogeneousSymbol, a_base_profile, bump_symbol,
+from schurlab.errors import BadGrid, OriginQuery, SupportViolation
+from schurlab.symcalc import (TWO_PI, HomogeneousSymbol, _uniform_transform,
+                              a_base_profile, bump_symbol,
                               circle_fourier_coeffs, coeff_tail_bound,
                               corollary52_constants, harmonic_symbol,
                               kernel_eval, kernel_gradient, profile_from_table,
                               s1_factorize, sine_symbol,
                               size_smoothness_check)
+
+from conftest import dense_uniform_transform
 
 
 def test_parity_validation():
@@ -143,6 +147,73 @@ def test_factorize_support_violation():
         s1_factorize(bump_symbol(), (-1, 1))
     with pytest.raises(SupportViolation):
         s1_factorize(harmonic_symbol(2), (1, 1))
+
+
+@pytest.mark.parametrize("grid", [dict(S=0.0), dict(S=-5.0), dict(S=math.nan),
+                                  dict(S=math.inf), dict(N=1), dict(N=0),
+                                  dict(t_points=1), dict(t_points=0)])
+def test_factorize_rejects_bad_grid(grid):
+    # S <= 0 or N = 1 used to report C = 0.0 or a negative C, S = nan a NaN,
+    # N = 0 and t_points = 1 a bare IndexError
+    with pytest.raises(BadGrid):
+        s1_factorize(bump_symbol(), (1, 1), **grid)
+
+
+def _t_samples(m, fac):
+    """The weighted t-samples h_k w_k that s1_factorize transformed."""
+    t = np.linspace(*fac.t_window, fac.t_points)
+    h = np.asarray(m.profile(np.mod(np.arctan2(fac.sigma2, fac.sigma1 * np.exp(t)),
+                                    TWO_PI)), dtype=complex)
+    w = np.full(len(t), t[1] - t[0])
+    w[[0, -1]] *= 0.5
+    return t, h * w
+
+
+@pytest.mark.parametrize("N, T", [(64, 256), (300, 50), (101, 77), (2, 2)])
+def test_uniform_transform_matches_dense_sum(N, T, rng):
+    s = np.linspace(-3.7, 11.2, N)
+    t = np.linspace(-2.1, 4.3, T)
+    x = rng.standard_normal(T) + 1j * rng.standard_normal(T)
+    g = _uniform_transform(s, t, x)
+    ref = dense_uniform_transform(s, t, x)
+    assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert not np.any(_uniform_transform(s, t, np.zeros(T)))
+
+
+def test_factorize_matches_dense_oracle():
+    P = SectorPartition()
+    cases = [(bump_symbol(), (1, 1)),
+             (HomogeneousSymbol(lambda th: bump_symbol().profile(np.asarray(th) + math.pi)),
+              (-1, -1)),
+             (a_base_profile(P, 3, 1), (-1, 1)),
+             (a_base_profile(P, 3, -1), (1, -1))]
+    for m, quadrant in cases:
+        for N, T in ((1024, 2048), (2048, 1024)):
+            fac = s1_factorize(m, quadrant, S=40, N=N, t_points=T)
+            t, x = _t_samples(m, fac)
+            g = dense_uniform_transform(fac.s_grid, t, x) / TWO_PI
+            assert np.max(np.abs(fac.g_values - g)) <= 1e-12 * np.max(np.abs(g))
+            weight = (1.0 + 2.0 * np.abs(fac.s_grid)) ** 2
+            C_m = np.trapezoid(np.abs(g) * weight, fac.s_grid)
+            assert fac.C_m == pytest.approx(C_m, rel=1e-8)
+
+
+def test_factorize_error_floor_at_grid_edges():
+    # against the exact sum of the same double inputs: at s = +-S the density
+    # |g| ~ 4e-17 is below the floor, which is what tail_density is read against
+    b = bump_symbol()
+    N, T = 16384, 8192
+    fac = s1_factorize(b, (1, 1), S=640, N=N, t_points=T)
+    t, x = _t_samples(b, fac)
+    floor = 3 * np.finfo(float).eps * math.log2(N + T) * np.max(np.abs(fac.g_values))
+    nz = np.nonzero(x)[0]
+    # s = -S, an interior point, the grid point next to s = 0, s = +S
+    for j in (0, N // 4, N // 2, N - 1):
+        with mp.workdps(30):
+            s = mp.mpf(float(fac.s_grid[j]))
+            ref = mp.fsum(mp.mpc(x[k].real, x[k].imag) * mp.expj(-s * mp.mpf(t[k]))
+                          for k in nz) / (2 * mp.pi)
+        assert abs(fac.g_values[j] - complex(ref)) <= floor, j
 
 
 def test_corollary52_constants_finite_and_repeatable():
