@@ -177,12 +177,11 @@ def cmd_symcalc(args):
               [[fac.C_m, err]], summary)
 
 
-_SYMBOLS = {
-    "ones": lambda arity: ones_symbol(arity),
-    "tplus": lambda arity: truncation_symbol("+"),
-    "tminus": lambda arity: truncation_symbol("-"),
-    "mplus": lambda arity: m_plus_symbol(),
-    "diag": lambda arity: diagonal_symbol(),
+_LINEAR_SYMBOLS = {
+    "tplus": lambda: truncation_symbol("+"),
+    "tminus": lambda: truncation_symbol("-"),
+    "mplus": m_plus_symbol,
+    "diag": diagonal_symbol,
 }
 
 
@@ -190,8 +189,10 @@ def cmd_schur(args):
     arity = 2 if args.kind == "linear" else 3
     if args.symbol.startswith("@"):
         sym = DiscreteSymbol.from_table(load_symbol_table(args.symbol[1:], arity))
+    elif args.symbol == "ones":
+        sym = ones_symbol(arity)
     else:
-        sym = _SYMBOLS[args.symbol](arity)
+        sym = _LINEAR_SYMBOLS[args.symbol]()
     if args.labels:
         X = PointSet(tuple(_parse_floats(args.labels)))
     else:
@@ -317,6 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", type=str, default=None,
                     help="key = value defaults file; explicit flags win")
     sub = ap.add_subparsers(dest="command", required=True)
+    ap.subcommands = sub.choices  # name -> subparser, for --config defaults
 
     p = sub.add_parser("divdiff", help="evaluate a divided difference at given nodes")
     p.add_argument("--f", required=True)
@@ -401,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constants", help="explicit constants and the D(p,2p,2p) growth table")
     p.add_argument("action", choices=["table", "eval"])
-    p.add_argument("--mode", default="D2p")
     p.add_argument("--pmin", type=float, default=1.01)
     p.add_argument("--pmax", type=float, default=64.0)
     p.add_argument("--points-per-decade", type=int, default=32)
@@ -422,41 +423,35 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _apply_config(ap: argparse.ArgumentParser, argv):
-    """Pre-scan --config and install its key = value pairs as defaults."""
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
-    if idx + 1 == len(argv):  # no path: argparse reports the usage error
-        return argv
-    path = argv[idx + 1]
-    defaults = {}
+def _config_defaults(ap: argparse.ArgumentParser, path) -> dict:
+    """The key = value lines of a --config file ('#' starts a comment)."""
+    pairs = {}
     with open(path) as fh:
         for line in fh:
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            key, _, value = line.partition("=")
-            defaults[key.strip().replace("-", "_")] = value.strip()
-    for action in ap._actions:
-        if action.dest in defaults and action.type is not None:
-            action.default = action.type(defaults[action.dest])
-        elif action.dest in defaults:
-            action.default = defaults[action.dest]
-    for sp in ap._subparsers._group_actions[0].choices.values():  # type: ignore[union-attr]
-        for action in sp._actions:
-            if action.dest in defaults and action.type is not None:
-                action.default = action.type(defaults[action.dest])
-            elif action.dest in defaults:
-                action.default = defaults[action.dest]
-    return argv
+            key, eq, value = line.partition("=")
+            key = key.strip().replace("-", "_")
+            if not eq or key == "func":
+                ap.error(f"{path}: {line!r} is not an 'option = value' line")
+            pairs[key] = value.strip()
+    return pairs
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = build_parser()
+    pre = argparse.ArgumentParser(prog=ap.prog, add_help=False)
+    pre.add_argument("--config")
     try:
-        argv = _apply_config(ap, argv)
+        config = pre.parse_known_args(argv)[0].config
+        if config is not None:
+            # argparse converts string defaults with the option's type, so a
+            # bad value is the usual usage error; flags still win
+            pairs = _config_defaults(ap, config)
+            for parser in (ap, *ap.subcommands.values()):
+                parser.set_defaults(**pairs)
         args = ap.parse_args(argv)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

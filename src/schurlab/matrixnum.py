@@ -35,19 +35,12 @@ def schatten_norm(a, p) -> float:
     """(sum s_j^p)^(1/p); the largest singular value for p = inf."""
     if p != np.inf and p < 1:
         raise BadExponent(f"Schatten exponent must be >= 1 or inf, got {p}")
-    s = singular_values(a)
-    top = float(s[0])
-    if top == 0.0:
-        return 0.0
-    if p == np.inf:
-        return top
-    if p == 2:  # Frobenius, exact
-        return float(np.linalg.norm(s))
-    # scale out the top value so large p cannot overflow
-    return top * float(np.sum((s / top) ** p)) ** (1.0 / p)
+    return schatten_norm_from_sv(singular_values(a), p)
 
 
 def schatten_norm_from_sv(s: np.ndarray, p) -> float:
+    """schatten_norm from the non-increasing singular values s; the top value
+    is scaled out so that a large p cannot overflow."""
     if p != np.inf and p < 1:
         raise BadExponent(f"Schatten exponent must be >= 1 or inf, got {p}")
     top = float(s[0]) if len(s) else 0.0

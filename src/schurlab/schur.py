@@ -8,7 +8,8 @@ couples an intermediate index,
 Norm estimation is lower-bound only: random complex Gaussian restarts followed
 by normalized subgradient ascent on the achieved ratio, then a dual-alignment
 polish (Higham's nonlinear power method, "Estimating the matrix p-norm",
-Numer. Math. 1992) whose norming step uses the SVD.
+Numer. Math. 1992) whose norming step uses the SVD.  One ascent serves both
+kinds; it works on the tuple of the multiplier's arguments.
 
 The Schatten-norm subgradient has two paths.  For an even integer exponent
 p = 2k no SVD is needed: with f = ||Z||_F, Y = Z/f and G = Y^*Y,
@@ -80,31 +81,33 @@ class PointSet:
 class DiscreteSymbol:
     """Coefficient function over label pairs (arity 2) or triples (arity 3).
 
-    ``coeff`` must broadcast over numpy label arrays.  Tables and sup bounds
-    are cached per point set.
+    ``coeff`` must broadcast over numpy label arrays.  The table of the latest
+    point set is cached; a symbol made by ``from_table`` has one fixed table.
     """
 
-    def __init__(self, arity: int, coeff: Callable, name: str = ""):
+    def __init__(self, arity: int, coeff: Callable | None, name: str = ""):
         if arity not in (2, 3):
             raise ValueError(f"arity must be 2 or 3, got {arity}")
         self.arity = arity
         self.coeff = coeff
         self.name = name
-        self._tables: dict = {}
+        self._fixed = None  # the table of a tabulated symbol
+        self._last = (None, None)  # (point set, table) of the latest build
 
     def table(self, X: PointSet) -> np.ndarray:
-        tab = self._tables.get(X)
-        if tab is None:
+        if self._fixed is not None:
+            if self._fixed.shape[0] != X.n:
+                raise DimensionMismatch(
+                    f"tabulated symbol size {self._fixed.shape[0]} != |X| = {X.n}")
+            return self._fixed
+        last, tab = self._last
+        if last != X:
             v = X.values
-            if self.arity == 2:
-                tab = np.asarray(self.coeff(v[:, None], v[None, :]), dtype=complex)
-                tab = np.broadcast_to(tab, (X.n, X.n)).copy()
-            else:
-                tab = np.asarray(
-                    self.coeff(v[:, None, None], v[None, :, None], v[None, None, :]),
-                    dtype=complex)
-                tab = np.broadcast_to(tab, (X.n, X.n, X.n)).copy()
-            self._tables[X] = tab
+            grids = ((v[:, None], v[None, :]) if self.arity == 2
+                     else (v[:, None, None], v[None, :, None], v[None, None, :]))
+            tab = np.asarray(self.coeff(*grids), dtype=complex)
+            tab = np.broadcast_to(tab, (X.n,) * self.arity).copy()
+            self._last = (X, tab)
         return tab
 
     def sup_bound(self, X: PointSet) -> float:
@@ -115,16 +118,8 @@ class DiscreteSymbol:
         arr = np.asarray(arr, dtype=complex)
         if arr.ndim not in (2, 3):
             raise ValueError("table must be 2-d or 3-d")
-        sym = DiscreteSymbol(arr.ndim, lambda *a: None, name=name)
+        sym = DiscreteSymbol(arr.ndim, None, name=name)
         sym._fixed = arr
-
-        def table(X, _sym=sym):
-            if _sym._fixed.shape[0] != X.n:
-                raise DimensionMismatch(
-                    f"tabulated symbol size {_sym._fixed.shape[0]} != |X| = {X.n}")
-            return _sym._fixed
-
-        sym.table = table  # type: ignore[method-assign]
         return sym
 
 
@@ -161,35 +156,27 @@ def _table_of(m, X: PointSet, arity: int) -> np.ndarray:
     return arr
 
 
-def apply_linear(m, X: PointSet, a) -> np.ndarray:
+def _square(a, n: int) -> np.ndarray:
+    """a as a finite complex n x n matrix, else DimensionMismatch or ValueError."""
     a = as_matrix(a)
-    if a.shape != (X.n, X.n):
-        raise DimensionMismatch(f"matrix shape {a.shape} != ({X.n}, {X.n})")
+    if a.shape != (n, n):
+        raise DimensionMismatch(f"matrix shape {a.shape} != ({n}, {n})")
+    return a
+
+
+def apply_linear(m, X: PointSet, a) -> np.ndarray:
+    a = _square(a, X.n)
     return _table_of(m, X, 2) * a
 
 
 def apply_bilinear(m, X: PointSet, a, b) -> np.ndarray:
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape != (X.n, X.n) or b.shape != (X.n, X.n):
-        raise DimensionMismatch(
-            f"matrix shapes {a.shape}, {b.shape} != ({X.n}, {X.n})")
-    t = _table_of(m, X, 3)
-    return np.einsum("ijl,ij,jl->il", t, a, b, optimize=True)
+    a, b = _square(a, X.n), _square(b, X.n)
+    return np.einsum("ijl,ij,jl->il", _table_of(m, X, 3), a, b, optimize=True)
 
 
 def triangular_truncation(a, X: PointSet, sign: str) -> np.ndarray:
     """Strict triangular part relative to the label order (diagonal dropped)."""
-    a = as_matrix(a)
-    if a.shape != (X.n, X.n):
-        raise DimensionMismatch(f"matrix shape {a.shape} != ({X.n}, {X.n})")
-    v = X.values
-    if sign == "+":
-        mask = v[:, None] < v[None, :]
-    elif sign == "-":
-        mask = v[:, None] > v[None, :]
-    else:
-        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    return a * mask
+    return apply_linear(truncation_symbol(sign), X, a)
 
 
 def diagonal_part(a) -> np.ndarray:
@@ -293,108 +280,84 @@ def _normalize(x: np.ndarray, p: float) -> np.ndarray:
 def linear_ratio(m, X: PointSet, x, p: float) -> float:
     """Achieved ratio ||M_m(x)||_p / ||x||_p for a single candidate."""
     x = as_matrix(x)
-    denom = schatten_norm_from_sv(np.linalg.svd(x, compute_uv=False), p)
+    denom = _svd_schatten(x, p)
     if denom == 0.0:
         return 0.0
-    z = apply_linear(m, X, x)
-    return schatten_norm_from_sv(np.linalg.svd(z, compute_uv=False), p) / denom
+    return _svd_schatten(apply_linear(m, X, x), p) / denom
 
 
 def bilinear_ratio(m, X: PointSet, x, y, p1: float, p2: float, p: float) -> float:
     x, y = as_matrix(x), as_matrix(y)
-    dx = schatten_norm_from_sv(np.linalg.svd(x, compute_uv=False), p1)
-    dy = schatten_norm_from_sv(np.linalg.svd(y, compute_uv=False), p2)
+    dx, dy = _svd_schatten(x, p1), _svd_schatten(y, p2)
     if dx == 0.0 or dy == 0.0:
         return 0.0
-    z = apply_bilinear(m, X, x, y)
-    return schatten_norm_from_sv(np.linalg.svd(z, compute_uv=False), p) / (dx * dy)
+    return _svd_schatten(apply_bilinear(m, X, x, y), p) / (dx * dy)
 
 
-def _norming(w: np.ndarray, q: float) -> np.ndarray:
-    """argmax of Re<x, w> over the unit ball of S_q (the norming element)."""
-    u, s, vh = np.linalg.svd(w)
-    if s[0] == 0.0:
-        return np.zeros_like(w)
-    qs = q / (q - 1.0)
-    norm = schatten_norm_from_sv(s, qs)
-    return (u * (s / norm) ** (qs - 1.0)) @ vh
+def _ascend(t: np.ndarray, starts, qs, p: float, iterations: int):
+    """One restart: the best ||M(a)||_p found over unit-S_q arguments a.
 
+    A 2-d table t acts on one argument, M(a) = t * a[0]; a 3-d table is the
+    bilinear action on two.  qs holds the argument exponents.  Normalized
+    subgradient ascent from the normalized starts is followed by an
+    alternating dual-alignment polish, one argument at a time; every polish
+    half-step is an exact partial maximization, so the objective is monotone
+    there.  Returns the best value and its argument tuple.
 
-def _ascend_linear(t2: np.ndarray, x0: np.ndarray, p: float, iterations: int):
-    x = _normalize(np.array(x0, dtype=complex), p)
-    best, best_x = -np.inf, x
+    SVDs of a restart that runs to the end, with P = max(8, iterations // 8)
+    polish steps: one per norming step, and at a non-even exponent one per
+    norm or subgradient: 1 + 2 iterations + 2 P + 1 for a linear search at
+    non-even p (start, ascent steps, polish steps, final value).  An even p
+    adds one SVD that re-measures the best value.
+    """
+    tc = np.conj(t)
+    if t.ndim == 2:
+        def forward(a):
+            return t * a[0]
+        adjoints = (lambda d, a: d * tc,)
+    else:
+        def forward(a):
+            return np.einsum("ijl,ij,jl->il", t, a[0], a[1], optimize=True)
+        adjoints = (
+            lambda d, a: np.einsum("il,ijl,jl->ij", d, tc, np.conj(a[1]), optimize=True),
+            lambda d, a: np.einsum("ijl,ij,il->jl", tc, np.conj(a[0]), d, optimize=True))
+
+    args = [_normalize(np.array(a, dtype=complex), q) for a, q in zip(starts, qs)]
+    best, best_args = -np.inf, tuple(args)
+
+    def measure():
+        """Subgradient at the current arguments; records a new best."""
+        nonlocal best, best_args
+        norm, d = _subgradient(forward(args), p)
+        if norm > best:
+            best, best_args = norm, tuple(a.copy() for a in args)
+        return d
+
     for it in range(1, iterations + 1):
-        z = t2 * x
-        norm, d = _subgradient(z, p)
-        if norm > best:
-            best, best_x = norm, x.copy()
-        g = d * np.conj(t2)
-        gn = np.linalg.norm(g)
-        if gn < 1e-14:
-            break
-        x = _normalize(x + (0.5 / math.sqrt(it)) * (g / gn), p)
-    # alternating dual-alignment polish; every half-step is an exact partial
-    # maximization, so the objective is monotone from here on
-    x = best_x
-    for _ in range(max(8, iterations // 8)):
-        z = t2 * x
-        norm, d = _subgradient(z, p)
-        if norm > best:
-            best, best_x = norm, x.copy()
-        x = _norming(d * np.conj(t2), p)
-        if np.linalg.norm(x) < 1e-14:
-            break
-    norm = _schatten(t2 * x, p)
-    if norm > best:
-        best, best_x = norm, x
-    if _even_half(p):  # re-certify the Gram-path value by one SVD
-        best = _svd_schatten(t2 * best_x, p)
-    return best, best_x
-
-
-def _ascend_bilinear(t3: np.ndarray, x0, y0, p1, p2, p, iterations: int):
-    x = _normalize(np.array(x0, dtype=complex), p1)
-    y = _normalize(np.array(y0, dtype=complex), p2)
-    tc = np.conj(t3)
-    best, best_xy = -np.inf, (x, y)
-    for it in range(1, iterations + 1):
-        z = np.einsum("ijl,ij,jl->il", t3, x, y, optimize=True)
-        norm, d = _subgradient(z, p)
-        if norm > best:
-            best, best_xy = norm, (x.copy(), y.copy())
-        gx = np.einsum("il,ijl,jl->ij", d, tc, np.conj(y), optimize=True)
-        gy = np.einsum("ijl,ij,il->jl", tc, np.conj(x), d, optimize=True)
-        gn = math.hypot(np.linalg.norm(gx), np.linalg.norm(gy))
+        d = measure()
+        gs = [adj(d, args) for adj in adjoints]
+        gn = math.hypot(*(np.linalg.norm(g) for g in gs))
         if gn < 1e-14:
             break
         step = 0.5 / math.sqrt(it)
-        x = _normalize(x + step * (gx / gn), p1)
-        y = _normalize(y + step * (gy / gn), p2)
-    # alternating polish, one argument at a time
-    x, y = best_xy
+        args = [_normalize(a + step * (g / gn), q) for a, g, q in zip(args, gs, qs)]
+    args = list(best_args)
     for _ in range(max(8, iterations // 8)):
-        z = np.einsum("ijl,ij,jl->il", t3, x, y, optimize=True)
-        norm, d = _subgradient(z, p)
-        if norm > best:
-            best, best_xy = norm, (x.copy(), y.copy())
-        gx = np.einsum("il,ijl,jl->ij", d, tc, np.conj(y), optimize=True)
-        xn = _norming(gx, p1)
-        if np.linalg.norm(xn) > 1e-14:
-            x = xn
-        z = np.einsum("ijl,ij,jl->il", t3, x, y, optimize=True)
-        norm, d = _subgradient(z, p)
-        if norm > best:
-            best, best_xy = norm, (x.copy(), y.copy())
-        gy = np.einsum("ijl,ij,il->jl", tc, np.conj(x), d, optimize=True)
-        yn = _norming(gy, p2)
-        if np.linalg.norm(yn) > 1e-14:
-            y = yn
-    norm = _schatten(np.einsum("ijl,ij,jl->il", t3, x, y, optimize=True), p)
+        moved = False
+        for k, (adj, q) in enumerate(zip(adjoints, qs)):
+            # the norming element, argmax of Re<a, w> over the unit ball of
+            # S_q, is the S_q* subgradient of w
+            a = _svd_subgradient(adj(measure(), args), q / (q - 1.0))[1]
+            if np.linalg.norm(a) > 1e-14:
+                args[k], moved = a, True
+        if not moved:  # a vanishing norming element: the value is 0
+            break
+    norm = _schatten(forward(args), p)
     if norm > best:
-        best, best_xy = norm, (x, y)
+        best, best_args = norm, tuple(args)
     if _even_half(p):  # re-certify the Gram-path value by one SVD
-        best = _svd_schatten(np.einsum("ijl,ij,jl->il", t3, *best_xy, optimize=True), p)
-    return best, best_xy
+        best = _svd_schatten(forward(best_args), p)
+    return best, best_args
 
 
 @functools.lru_cache(maxsize=None)
@@ -464,39 +427,30 @@ def norm_lower_search(kind: str, m, X: PointSet, exponents, budget: Budget = Bud
     n = X.n
     if kind == "linear":
         (p,) = tuple(np.atleast_1d(exponents)) if np.ndim(exponents) else (exponents,)
-        _check_open_exponent(p)
-        t = _table_of(m, X, 2)
-
-        def run(job):
-            tag, payload = job
-            if tag == "seed":
-                x0 = as_matrix(payload)
-            else:
-                rng = np.random.default_rng([budget.seed, payload])
-                x0 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            return _ascend_linear(t, x0, p, budget.iterations)
-
+        qs = (p,)
     elif kind == "bilinear":
         p1, p2, p = exponents
-        for q in (p1, p2, p):
-            _check_open_exponent(q)
-        t = _table_of(m, X, 3)
-
-        def run(job):
-            tag, payload = job
-            if tag == "seed":
-                x0, y0 = payload
-            else:
-                rng = np.random.default_rng([budget.seed, payload])
-                x0 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-                y0 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            return _ascend_bilinear(t, x0, y0, p1, p2, p, budget.iterations)
-
+        qs = (p1, p2)
     else:
         raise ValueError(f"kind must be 'linear' or 'bilinear', got {kind!r}")
+    for q in (*qs, p):
+        _check_open_exponent(q)
+    t = _table_of(m, X, len(qs) + 1)
 
-    jobs = [("seed", s) for s in seeds]
-    jobs += [("rand", r) for r in range(budget.restarts)]
+    def checked(seed):
+        mats = tuple(_square(a, n) for a in ((seed,) if kind == "linear" else seed))
+        if len(mats) != len(qs):
+            raise DimensionMismatch(f"a {kind} seed needs {len(qs)} matrices")
+        return mats
+
+    def run(job):
+        if isinstance(job, int):  # restart number
+            rng = np.random.default_rng([budget.seed, job])
+            job = tuple(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                        for _ in qs)
+        return _ascend(t, job, qs, p, budget.iterations)
+
+    jobs = [checked(s) for s in seeds] + list(range(budget.restarts))
     if not jobs:
         raise BadBudget("nothing to search: no seeds and budget.restarts == 0")
     workers = default_threads() if threads is None else max(1, threads)
@@ -508,8 +462,7 @@ def norm_lower_search(kind: str, m, X: PointSet, exponents, budget: Budget = Bud
             outcomes = [run(job) for job in jobs]
 
     ratio, wit = max(outcomes, key=lambda o: o[0])  # the first best on ties
-    return EstimateResult(ratio, (wit,) if kind == "linear" else wit,
-                          [o[0] for o in outcomes])
+    return EstimateResult(ratio, wit, [o[0] for o in outcomes])
 
 
 def norm_lower_estimate(kind: str, m, X: PointSet, exponents, budget: Budget = Budget(),
@@ -525,15 +478,11 @@ def load_symbol_table(path, arity: int) -> np.ndarray:
     """
     from .matrixnum import read_matrix
 
+    if arity not in (2, 3):
+        raise ValueError("arity must be 2 or 3")
     flat = read_matrix(path)
-    if arity == 2:
-        if flat.shape[0] != flat.shape[1]:
-            raise DimensionMismatch(f"arity-2 table must be square, got {flat.shape}")
-        return flat
-    if arity == 3:
-        n = flat.shape[1]
-        if flat.shape[0] != n * n:
-            raise DimensionMismatch(
-                f"arity-3 table needs n^2 x n rows, got {flat.shape}")
-        return flat.reshape(n, n, n)
-    raise ValueError("arity must be 2 or 3")
+    n = flat.shape[1]
+    if flat.shape[0] != n ** (arity - 1):
+        raise DimensionMismatch(f"arity-{arity} table needs n^{arity - 1} x n rows, "
+                                f"got {flat.shape}")
+    return flat.reshape((n,) * arity)

@@ -43,6 +43,7 @@ def test_constants_table_and_manifest(tmp_path, capsys):
     assert manifest["command"] == "constants_table"
     assert "version" in manifest and "wall_time_s" in manifest
     assert "slope_top_decade" in manifest
+    assert "mode" not in manifest["config"]
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -88,6 +89,40 @@ def test_config_without_path_is_usage_error(capsys):
         main(["--config"])
     assert exc.value.code == 2
     assert "--config: expected one argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("form", [["--config={}"], ["--conf", "{}"], ["--config", "{}"]])
+def test_config_spellings_set_defaults(form, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("restarts = 3  # a comment\n\nseed = 5\n")
+    out = tmp_path / "out"
+    argv = [a.format(cfg) for a in form] + ["--out", str(out), "schur", "--n", "4",
+                                            "--iterations", "3"]
+    assert main(argv) == 0
+    config = json.loads((out / "schur_manifest.json").read_text())["config"]
+    assert config["restarts"] == 3 and config["seed"] == 5
+    assert main(argv + ["--restarts", "2"]) == 0  # flags win
+    config = json.loads((out / "schur_manifest.json").read_text())["config"]
+    assert config["restarts"] == 2
+
+
+@pytest.mark.parametrize("text", ["restarts = abc\n", "restarts\n", "func = x\n"])
+def test_bad_config_line_is_usage_error(text, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "schur", "--n", "4", "--iterations", "3"])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, symbol, code", [
+    ("linear", "ones", 0), ("linear", "tplus", 0), ("linear", "tminus", 0),
+    ("linear", "mplus", 0), ("linear", "diag", 0), ("bilinear", "ones", 0),
+    ("bilinear", "mplus", 2), ("linear", "nope", 2)])
+def test_schur_named_symbols(kind, symbol, code, capsys):
+    assert main(["schur", "--kind", kind, "--symbol", symbol, "--n", "4",
+                 "--restarts", "1", "--iterations", "3"]) == code
 
 
 def test_bad_budget_is_validation_error(capsys):

@@ -91,6 +91,14 @@ def test_log_gamma_accuracy():
     assert worst <= 1e-12
 
 
+def test_log_gamma_domain():
+    for x in (0.0, -1.0, -0.5):
+        with pytest.raises(ValueError):
+            log_gamma(x)
+    for x in (1e-8, 0.1, 0.3, 0.5):
+        assert log_gamma(x) == pytest.approx(math.lgamma(x), rel=1e-12)
+
+
 def test_asymptotics_table():
     tab = asymptotics_table(1.01, 64.0)
     assert np.all(np.isfinite(tab.d_values))

@@ -7,7 +7,8 @@ from schurlab.errors import BadExponent, DimensionMismatch
 from schurlab.matrixnum import (cumulative_singular_integral,
                                 decreasing_rearrangement, holder_split,
                                 marcinkiewicz_norm, read_matrix, schatten_norm,
-                                singular_values, write_matrix)
+                                schatten_norm_from_sv, singular_values,
+                                write_matrix)
 
 from conftest import random_unitary
 
@@ -34,6 +35,13 @@ def test_schatten_examples():
     eye = np.eye(5)
     for p in (1, 1.5, 2, 3, 7):
         assert schatten_norm(eye, p) == pytest.approx(5.0 ** (1.0 / p))
+
+
+def test_schatten_norm_is_the_singular_value_routine(rng):
+    a = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    for p in (1, 1.5, 2, 3, 40, np.inf):
+        assert schatten_norm(a, p) == schatten_norm_from_sv(singular_values(a), p)
+    assert schatten_norm(1e200 * a, 2) == pytest.approx(1e200 * schatten_norm(a, 2))
 
 
 def test_schatten_monotone_in_p(rng):

@@ -366,3 +366,109 @@ def test_search_independent_of_blas_threads(n):
         assert run.returncode == 0, run.stderr
         outs.append(run.stdout)
     assert outs[0] == outs[1]
+
+
+# Ratios of norm_lower_search recorded before the linear and bilinear ascents
+# were folded into one engine: n = 12, Budget(2, 15, 5), M+ for the linear
+# kind and the B1 phi table for the bilinear one.
+_FROZEN = [
+    ("linear", 3.0, 1.2448711768301322),
+    ("linear", 4.0, 1.4098626102257323),
+    ("linear", 1.1, 1.8012725832618988),
+    ("bilinear", (4.0, 4.0, 2.0), 1.6026035070960585),
+    ("bilinear", (2.0, 2.0, 2.0), 0.9957020710216431),
+    ("bilinear", (1.5, 3.0, 1.1), 1.4420867158244708),
+]
+
+
+@pytest.mark.parametrize("kind, exps, want", _FROZEN)
+def test_search_values_frozen(kind, exps, want):
+    from schurlab.lowerlab import GeometricDiscretization, phi_table
+    X = PointSet.integers(12)
+    m = (m_plus_symbol() if kind == "linear"
+         else phi_table(GeometricDiscretization(0.5, 40, "B1", 12)))
+    res = norm_lower_search(kind, m, X, exps, Budget(2, 15, 5))
+    assert res.ratio == pytest.approx(want, rel=1e-13, abs=0)
+    assert len(res.witness) == (1 if kind == "linear" else 2)
+
+
+def _polish_steps(iterations):
+    return max(8, iterations // 8)
+
+
+# SVDs of one restart that runs to the end: a non-even p takes one per norm,
+# subgradient and norming step; an even p only the norming steps plus one
+# re-certification of the best value.
+_SVD_COUNTS = [
+    ("linear", 3.0, lambda it: 1 + 2 * it + 2 * _polish_steps(it) + 1),
+    ("linear", 4.0, lambda it: _polish_steps(it) + 1),
+    ("bilinear", (4.0, 4.0, 2.0), lambda it: 2 * _polish_steps(it) + 1),
+]
+
+
+@pytest.mark.parametrize("kind, exps, count", _SVD_COUNTS)
+@pytest.mark.parametrize("iterations", [5, 80])
+def test_svds_per_restart(kind, exps, count, iterations, monkeypatch):
+    X = PointSet.integers(6)
+    m = m_plus_symbol() if kind == "linear" else ones_symbol(3)
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    norm_lower_search(kind, m, X, exps, Budget(1, iterations, 11))
+    assert len(calls) == count(iterations)
+
+
+@pytest.mark.parametrize("kind, exps", [("linear", 3.0), ("linear", 4.0),
+                                        ("bilinear", (4.0, 4.0, 2.0))])
+def test_zero_symbol_search_is_zero(kind, exps):
+    X = PointSet.integers(5)
+    arity = 2 if kind == "linear" else 3
+    res = norm_lower_search(kind, np.zeros((5,) * arity), X, exps, Budget(2, 10, 0))
+    assert res.ratio == 0.0 and res.per_restart == [0.0, 0.0]
+    assert len(res.witness) == arity - 1
+
+
+def test_seeds_are_validated_for_both_kinds():
+    X = PointSet.integers(4)
+    good, bad_shape = np.eye(4), np.eye(3)
+    nan = np.full((4, 4), np.nan)
+    cases = [("linear", m_plus_symbol(), 4.0, lambda a: a),
+             ("bilinear", ones_symbol(3), (4.0, 4.0, 2.0), lambda a: (good, a))]
+    for kind, m, exps, seed in cases:
+        with pytest.raises(ValueError, match="finite"):
+            norm_lower_search(kind, m, X, exps, Budget(0, 3, 0), seeds=[seed(nan)])
+        with pytest.raises(DimensionMismatch):
+            norm_lower_search(kind, m, X, exps, Budget(0, 3, 0), seeds=[seed(bad_shape)])
+    for pair in [(good,), (good, good, good), good]:
+        with pytest.raises(DimensionMismatch):
+            norm_lower_search("bilinear", ones_symbol(3), X, (4.0, 4.0, 2.0),
+                              Budget(0, 3, 0), seeds=[pair])
+    res = norm_lower_search("bilinear", ones_symbol(3), X, (4.0, 4.0, 2.0),
+                            Budget(0, 3, 0), seeds=[(good, good)])
+    assert res.ratio == pytest.approx(1.0)
+
+
+def test_symbol_table_cache_keeps_the_latest_point_set():
+    sym = DiscreteSymbol(3, lambda a, b, c: a + b * c)
+    X, Y = PointSet.integers(4), PointSet.integers(5)
+    first = sym.table(X)
+    assert sym.table(PointSet.integers(4)) is first
+    assert sym.table(Y).shape == (5, 5, 5)
+    again = sym.table(X)
+    assert again is not first and np.array_equal(again, first)
+
+
+def test_tabulated_symbol():
+    tab = np.arange(9.0).reshape(3, 3)
+    sym = DiscreteSymbol.from_table(tab)
+    assert "table" not in vars(sym) and sym.arity == 2
+    assert np.array_equal(sym.table(PointSet.integers(3)), tab)
+    with pytest.raises(DimensionMismatch):
+        sym.table(PointSet.integers(4))
+    with pytest.raises(ValueError):
+        DiscreteSymbol.from_table(np.ones(3))
