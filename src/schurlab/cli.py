@@ -306,125 +306,133 @@ def cmd_extrapolate(args):
 # parser
 # ----------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The parser, and a map from None (the top level) and each subcommand
+    name to its parser and the dests of the options that parser owns."""
+    owned = {}  # parser -> dests of the options added to it
+
+    def opt(parser, *flags, **kwargs):
+        owned.setdefault(parser, set()).add(parser.add_argument(*flags, **kwargs).dest)
+
     ap = argparse.ArgumentParser(
         prog="schurlab",
         description="Numerical experiments on bilinear Schur multipliers of "
                     "second-order divided differences.")
-    ap.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    ap.add_argument("--threads", type=int, default=None,
-                    help="worker threads (default: SCHURLAB_THREADS or 1)")
-    ap.add_argument("--out", type=str, default=None, help="output directory")
-    ap.add_argument("--config", type=str, default=None,
-                    help="key = value defaults file; explicit flags win")
+    opt(ap, "--seed", type=int, default=0, help="base RNG seed")
+    opt(ap, "--threads", type=int, default=None,
+            help="worker threads (default: SCHURLAB_THREADS or 1)")
+    opt(ap, "--out", type=str, default=None, help="output directory")
+    opt(ap, "--config", type=str, default=None,
+            help="key = value defaults file; explicit flags win")
     sub = ap.add_subparsers(dest="command", required=True)
-    ap.subcommands = sub.choices  # name -> subparser, for --config defaults
 
     p = sub.add_parser("divdiff", help="evaluate a divided difference at given nodes")
-    p.add_argument("--f", required=True)
-    p.add_argument("--nodes", required=True, help="comma-separated node list")
-    p.add_argument("--tol", type=float, default=1e-9)
+    opt(p, "--f", required=True)
+    opt(p, "--nodes", required=True, help="comma-separated node list")
+    opt(p, "--tol", type=float, default=1e-9)
     p.set_defaults(func=cmd_divdiff)
 
     p = sub.add_parser("decomp", help="residuals of the six-term symbol and "
                                       "operator decomposition identities")
-    p.add_argument("--f", default="sin")
-    p.add_argument("--triples", type=int, default=1000)
-    p.add_argument("--epsilon", type=float, default=math.pi / 32)
-    p.add_argument("--band", type=float, default=None,
-                   help="partition transition band width (default epsilon/2)")
-    p.add_argument("--operator-n", type=int, default=0)
-    p.add_argument("--trials", type=int, default=5)
+    opt(p, "--f", default="sin")
+    opt(p, "--triples", type=int, default=1000)
+    opt(p, "--epsilon", type=float, default=math.pi / 32)
+    opt(p, "--band", type=float, default=None,
+           help="partition transition band width (default epsilon/2)")
+    opt(p, "--operator-n", type=int, default=0)
+    opt(p, "--trials", type=int, default=5)
     p.set_defaults(func=cmd_decomp)
 
     p = sub.add_parser("hms", help="sampled Hoermander-Mikhlin-Schur quantity of a "
                                    "divided-difference symbol vs its (2n+3)/n! bound")
-    p.add_argument("--f", default="sin")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--box", default="-5,5")
-    p.add_argument("--grid-points", type=int, default=512)
+    opt(p, "--f", default="sin")
+    opt(p, "--n", type=int, default=2)
+    opt(p, "--k", type=int, default=1)
+    opt(p, "--box", default="-5,5")
+    opt(p, "--grid-points", type=int, default=512)
     p.set_defaults(func=cmd_hms)
 
     p = sub.add_parser("symcalc", help="homogeneous-symbol kernels, size/smoothness "
                                        "constants, and quadrant factorization constants")
-    p.add_argument("action", choices=["kernel", "factorize", "reconstruct"])
-    p.add_argument("--profile", choices=sorted(_PROFILES), default="harmonic1")
-    p.add_argument("--K", type=int, default=256)
-    p.add_argument("--radii", default="1,10")
-    p.add_argument("--which", type=int, nargs="+", default=[3, 4, 5, 6])
-    p.add_argument("--epsilon", type=float, default=math.pi / 32)
-    p.add_argument("--band", type=float, default=None,
-                   help="partition transition band width (default epsilon/2)")
-    p.add_argument("--S", type=float, default=40.0)
-    p.add_argument("--N", type=int, default=4096)
+    opt(p, "action", choices=["kernel", "factorize", "reconstruct"])
+    opt(p, "--profile", choices=sorted(_PROFILES), default="harmonic1")
+    opt(p, "--K", type=int, default=256)
+    opt(p, "--radii", default="1,10")
+    opt(p, "--which", type=int, nargs="+", default=[3, 4, 5, 6])
+    opt(p, "--epsilon", type=float, default=math.pi / 32)
+    opt(p, "--band", type=float, default=None,
+           help="partition transition band width (default epsilon/2)")
+    opt(p, "--S", type=float, default=40.0)
+    opt(p, "--N", type=int, default=4096)
     p.set_defaults(func=cmd_symcalc)
 
     p = sub.add_parser("schur", help="lower-bound estimate of a Schur multiplier norm")
-    p.add_argument("--kind", choices=["linear", "bilinear"], default="linear")
-    p.add_argument("--symbol", default="mplus",
-                   help="named symbol or @file for a tabulated grid")
-    p.add_argument("--n", type=int, default=16)
-    p.add_argument("--labels", default=None)
-    p.add_argument("--p", type=float, default=4.0)
-    p.add_argument("--p1", type=float, default=4.0)
-    p.add_argument("--p2", type=float, default=4.0)
-    p.add_argument("--restarts", type=int, default=20)
-    p.add_argument("--iterations", type=int, default=60)
+    opt(p, "--kind", choices=["linear", "bilinear"], default="linear")
+    opt(p, "--symbol", default="mplus",
+           help="named symbol or @file for a tabulated grid")
+    opt(p, "--n", type=int, default=16)
+    opt(p, "--labels", default=None)
+    opt(p, "--p", type=float, default=4.0)
+    opt(p, "--p1", type=float, default=4.0)
+    opt(p, "--p2", type=float, default=4.0)
+    opt(p, "--restarts", type=int, default=20)
+    opt(p, "--iterations", type=int, default=60)
     p.set_defaults(func=cmd_schur)
 
     p = sub.add_parser("lowerlab", help="geometric discretizations: limit symbols, "
                                         "truncation sweeps, and both norm-growth experiments")
-    p.add_argument("action", choices=["limits", "sweep", "b1", "b2"])
-    p.add_argument("--variant", choices=["B1", "B2"], default="B1")
-    p.add_argument("--q", type=float, default=0.5)
-    p.add_argument("--k", type=int, default=40)
-    p.add_argument("--n", type=int, default=32)
-    p.add_argument("--p", type=float, default=4.0)
-    p.add_argument("--plist", default="4,8,16")
-    p.add_argument("--restarts", type=int, default=20)
-    p.add_argument("--iterations", type=int, default=60)
+    opt(p, "action", choices=["limits", "sweep", "b1", "b2"])
+    opt(p, "--variant", choices=["B1", "B2"], default="B1")
+    opt(p, "--q", type=float, default=0.5)
+    opt(p, "--k", type=int, default=40)
+    opt(p, "--n", type=int, default=32)
+    opt(p, "--p", type=float, default=4.0)
+    opt(p, "--plist", default="4,8,16")
+    opt(p, "--restarts", type=int, default=20)
+    opt(p, "--iterations", type=int, default=60)
     p.set_defaults(func=cmd_lowerlab)
 
     p = sub.add_parser("dyadic", help="dyadic-shift coefficient bound checks and norm probes")
-    p.add_argument("action", choices=["bk", "probe"])
-    p.add_argument("--kmin", type=int, default=-4)
-    p.add_argument("--kmax", type=int, default=2)
-    p.add_argument("--complexity", default="1,1,1")
-    p.add_argument("--j0", type=int, default=3)
-    p.add_argument("--specs", type=int, default=100)
-    p.add_argument("--samples", type=int, default=64)
-    p.add_argument("--trials", type=int, default=64)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--p1", type=float, default=4.0)
-    p.add_argument("--p2", type=float, default=4.0)
-    p.add_argument("--p", type=float, default=2.0)
+    opt(p, "action", choices=["bk", "probe"])
+    opt(p, "--kmin", type=int, default=-4)
+    opt(p, "--kmax", type=int, default=2)
+    opt(p, "--complexity", default="1,1,1")
+    opt(p, "--j0", type=int, default=3)
+    opt(p, "--specs", type=int, default=100)
+    opt(p, "--samples", type=int, default=64)
+    opt(p, "--trials", type=int, default=64)
+    opt(p, "--d", type=int, default=1)
+    opt(p, "--p1", type=float, default=4.0)
+    opt(p, "--p2", type=float, default=4.0)
+    opt(p, "--p", type=float, default=2.0)
     p.set_defaults(func=cmd_dyadic)
 
     p = sub.add_parser("constants", help="explicit constants and the D(p,2p,2p) growth table")
-    p.add_argument("action", choices=["table", "eval"])
-    p.add_argument("--pmin", type=float, default=1.01)
-    p.add_argument("--pmax", type=float, default=64.0)
-    p.add_argument("--points-per-decade", type=int, default=32)
-    p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--p1", type=float, default=4.0)
-    p.add_argument("--p2", type=float, default=4.0)
+    opt(p, "action", choices=["table", "eval"])
+    opt(p, "--pmin", type=float, default=1.01)
+    opt(p, "--pmax", type=float, default=64.0)
+    opt(p, "--points-per-decade", type=int, default=32)
+    opt(p, "--p", type=float, default=2.0)
+    opt(p, "--p1", type=float, default=4.0)
+    opt(p, "--p2", type=float, default=4.0)
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("extrapolate", help="Marcinkiewicz-scale envelope of the bilinear "
                                            "action on random S_2-normalized inputs")
-    p.add_argument("--n", type=int, default=128)
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--q", type=float, default=0.8)
-    p.add_argument("--compare-n", action="store_true",
-                   help="also run at n/2 for the stability comparison")
+    opt(p, "--n", type=int, default=128)
+    opt(p, "--trials", type=int, default=50)
+    opt(p, "--q", type=float, default=0.8)
+    opt(p, "--compare-n", action="store_true",
+           help="also run at n/2 for the stability comparison")
     p.set_defaults(func=cmd_extrapolate)
 
-    return ap
+    return ap, {name: (parser, owned[parser])
+                for name, parser in {None: ap, **sub.choices}.items()}
 
 
-def _config_defaults(ap: argparse.ArgumentParser, path) -> dict:
-    """The key = value lines of a --config file ('#' starts a comment)."""
+def _config_defaults(ap: argparse.ArgumentParser, path, known) -> dict:
+    """The key = value lines of a --config file ('#' starts a comment); each
+    key must be in ``known``."""
     pairs = {}
     with open(path) as fh:
         for line in fh:
@@ -433,29 +441,33 @@ def _config_defaults(ap: argparse.ArgumentParser, path) -> dict:
                 continue
             key, eq, value = line.partition("=")
             key = key.strip().replace("-", "_")
-            if not eq or key == "func":
+            if not eq:
                 ap.error(f"{path}: {line!r} is not an 'option = value' line")
+            if key not in known:
+                ap.error(f"{path}: no option is named {key!r}")
             pairs[key] = value.strip()
     return pairs
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    ap = build_parser()
-    pre = argparse.ArgumentParser(prog=ap.prog, add_help=False)
-    pre.add_argument("--config")
-    try:
-        config = pre.parse_known_args(argv)[0].config
-        if config is not None:
-            # argparse converts string defaults with the option's type, so a
-            # bad value is the usual usage error; flags still win
-            pairs = _config_defaults(ap, config)
-            for parser in (ap, *ap.subcommands.values()):
-                parser.set_defaults(**pairs)
+    ap, options = build_parser()
+    args = ap.parse_args(argv)
+    if args.config is not None:
+        known = set().union(*(dests for _, dests in options.values()))
+        try:
+            pairs = _config_defaults(ap, args.config, known)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        # only the owner takes a key: argparse copies a subcommand's namespace
+        # over the top level's, so a top-level key there would beat its flag.
+        # A key of another subcommand is skipped (one file may serve several);
+        # a string default is converted with the option's type, so a bad value
+        # is a usage error.
+        for parser, dests in (options[None], options[args.command]):
+            parser.set_defaults(**{k: v for k, v in pairs.items() if k in dests})
         args = ap.parse_args(argv)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     args._t0 = time.time()
     try:
         args.func(args)

@@ -106,7 +106,29 @@ def test_config_spellings_set_defaults(form, tmp_path):
     assert config["restarts"] == 2
 
 
-@pytest.mark.parametrize("text", ["restarts = abc\n", "restarts\n", "func = x\n"])
+def test_config_keys_go_to_their_parser(tmp_path):
+    # a top-level key set in the file loses to the explicit top-level flag
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 5\nrestarts = 3\nnodes = 0,1\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--seed", "7", "--out", str(out),
+                 "schur", "--n", "4", "--iterations", "3"]) == 0
+    config = json.loads((out / "schur_manifest.json").read_text())["config"]
+    assert config["seed"] == 7 and config["restarts"] == 3
+    assert "nodes" not in config  # a divdiff key is skipped for schur
+
+
+def test_config_leaves_subcommand_abbreviations_alone(tmp_path):
+    # --co after the subcommand is extrapolate's --compare-n, not --config
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "extrapolate", "--n", "8", "--trials", "2",
+                 "--co"]) == 0
+    config = json.loads((out / "extrapolate_manifest.json").read_text())["config"]
+    assert config["compare_n"] is True and "config" not in config
+
+
+@pytest.mark.parametrize("text", ["restarts = abc\n", "restarts\n", "func = x\n",
+                                  "restart = 3\n"])
 def test_bad_config_line_is_usage_error(text, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)

@@ -95,8 +95,6 @@ def test_log_gamma_domain():
     for x in (0.0, -1.0, -0.5):
         with pytest.raises(ValueError):
             log_gamma(x)
-    for x in (1e-8, 0.1, 0.3, 0.5):
-        assert log_gamma(x) == pytest.approx(math.lgamma(x), rel=1e-12)
 
 
 def test_asymptotics_table():
