@@ -56,6 +56,9 @@ def _write_csv(path: Path, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+_started = 0.0  # time.time() when main began the running command
+
+
 def _emit(args, name, header, rows, summary: str, extra=None):
     print(summary)
     if args.out:
@@ -66,7 +69,7 @@ def _emit(args, name, header, rows, summary: str, extra=None):
             "config": {k: v for k, v in sorted(vars(args).items())
                        if k != "func" and v is not None},
             "version": __version__,
-            "wall_time_s": round(time.time() - args._t0, 3),
+            "wall_time_s": round(time.time() - _started, 3),
         }
         if extra:
             manifest.update(extra)
@@ -450,6 +453,7 @@ def _config_defaults(ap: argparse.ArgumentParser, path, known) -> dict:
 
 
 def main(argv=None) -> int:
+    global _started
     argv = list(sys.argv[1:] if argv is None else argv)
     ap, options = build_parser()
     args = ap.parse_args(argv)
@@ -468,7 +472,7 @@ def main(argv=None) -> int:
         for parser, dests in (options[None], options[args.command]):
             parser.set_defaults(**{k: v for k, v in pairs.items() if k in dests})
         args = ap.parse_args(argv)
-    args._t0 = time.time()
+    _started = time.time()
     try:
         args.func(args)
     except ConvergenceFailure as exc:

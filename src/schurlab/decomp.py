@@ -63,24 +63,21 @@ def sign1(t):
 class SectorPartition:
     """epsilon-parameterized partition of unity over the three sector families.
 
-    ``band`` is the smoothstep transition width and ``inset`` how far the bump
-    support is pulled inside each open arc; defaults epsilon/2 and epsilon/4
-    keep the three supports overlapping, so the normalizing sum is positive.
+    ``band`` is the smoothstep transition width (default epsilon/2); each bump
+    support is pulled epsilon/4 inside its open arc.  Both keep the three
+    supports overlapping, so the normalizing sum is positive.
     """
 
     epsilon: float = math.pi / 32
     band: float = None
-    inset: float = None
 
     def __post_init__(self):
         if not 0 < self.epsilon < math.pi / 8:
             raise ValueError(f"epsilon must lie in (0, pi/8), got {self.epsilon}")
         if self.band is None:
             object.__setattr__(self, "band", self.epsilon / 2)
-        if self.inset is None:
-            object.__setattr__(self, "inset", self.epsilon / 4)
-        if self.band <= 0 or self.inset < 0:
-            raise ValueError("band must be positive and inset non-negative")
+        if self.band <= 0:
+            raise ValueError("band must be positive")
 
     def arcs(self, j: int):
         e = self.epsilon
@@ -98,11 +95,12 @@ class SectorPartition:
         """Raw bump of sector j on angle array phi (no symmetrization)."""
         phi = np.asarray(phi, dtype=float)
         out = np.zeros_like(phi)
+        inset = self.epsilon / 4
         for a, b in self.arcs(j):
             length = b - a
             d = np.mod(phi - a, TWO_PI)
-            out = out + smoothstep((d - self.inset) / self.band) \
-                * smoothstep((length - self.inset - d) / self.band)
+            out = out + smoothstep((d - inset) / self.band) \
+                * smoothstep((length - inset - d) / self.band)
         return out
 
     def theta_of_angle(self, j: int, phi):

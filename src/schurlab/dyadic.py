@@ -7,6 +7,10 @@ circle, all positions integer multiples of the unit 2^{k_min}.  A shifted grid
 translates scale-j cubes by sum_{i < j} omega_i 2^i (mod window), which keeps
 every scale a refinement of the next.
 
+Haar convention (``_haar_layout``): h_Q^0 is |Q|^{-1/2} on Q, and h_Q^1 is
++|Q|^{-1/2} on the left half of Q (cells in order from its start) and
+-|Q|^{-1/2} on the right half.  A cube at the finest scale has no h_Q^1.
+
 A bilinear dyadic shift of complexity (k1, k2, k3) is
 
     S(f, g) = sum_Q sum_{I_j subcube of Q, |I_j| = 2^{-k_j} |Q|}
@@ -20,6 +24,7 @@ slot with a trace.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, Tuple
@@ -108,13 +113,6 @@ class DyadicSystem:
     def measure(self, q: Cube) -> float:
         return self.len_units(q.scale) * self.unit
 
-    def children(self, q: Cube) -> tuple:
-        if q.scale <= self.k_min:
-            raise ScaleMismatch("cubes at the finest scale have no children")
-        half = self.len_units(q.scale) // 2
-        return (Cube(q.scale - 1, q.start),
-                Cube(q.scale - 1, (q.start + half) % self.n_units))
-
     def cube_containing(self, scale: int, cell: int) -> Cube:
         ln = self.len_units(scale)
         off = self.offset_units(scale)
@@ -142,21 +140,24 @@ class DyadicSystem:
         return int(x / self.unit)
 
 
-def haar_cell_values(D: DyadicSystem, q: Cube, eta: int) -> np.ndarray:
-    """Dense per-unit-cell values of h_Q^eta over the whole window."""
+def _haar_layout(D: DyadicSystem, q: Cube, eta: int):
+    """(cells, split, amp): h_Q^eta is amp on cells[:split], -amp on
+    cells[split:] and 0 off Q."""
     if eta not in (0, 1):
         raise ValueError("eta must be 0 or 1")
-    out = np.zeros(D.n_units)
-    amp = D.measure(q) ** -0.5
     cells = D.cells(q)
-    if eta == 0:
-        out[cells] = amp
-    else:
-        if q.scale <= D.k_min:
-            raise ScaleMismatch("cancellative Haar needs a scale above the finest")
-        half = len(cells) // 2
-        out[cells[:half]] = amp
-        out[cells[half:]] = -amp
+    if eta == 1 and q.scale <= D.k_min:
+        raise ScaleMismatch("cancellative Haar needs a scale above the finest")
+    split = len(cells) // 2 if eta else len(cells)
+    return cells, split, D.measure(q) ** -0.5
+
+
+def haar_cell_values(D: DyadicSystem, q: Cube, eta: int) -> np.ndarray:
+    """Dense per-unit-cell values of h_Q^eta over the whole window."""
+    cells, split, amp = _haar_layout(D, q, eta)
+    out = np.zeros(D.n_units)
+    out[cells[:split]] = amp
+    out[cells[split:]] = -amp
     return out
 
 
@@ -172,7 +173,6 @@ class StepFunction:
 
     system: DyadicSystem
     values: np.ndarray  # (n_units, d, d) complex
-    resolution: int = None
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
@@ -184,8 +184,6 @@ class StepFunction:
             raise ScaleMismatch(
                 f"expected {self.system.n_units} cells, got {vals.shape[0]}")
         self.values = vals
-        if self.resolution is None:
-            self.resolution = self.system.k_min
 
     @property
     def d(self) -> int:
@@ -195,20 +193,12 @@ class StepFunction:
 def inner(f: StepFunction, q: Cube, eta: int) -> np.ndarray:
     """<f, h_Q^eta> as a d x d matrix (exact finite sum).
 
-    The cancellative case sums the two halves separately and subtracts, so the
+    The two halves are summed separately and subtracted, so the cancellative
     pairing with any function constant on Q is an exact zero."""
     D = f.system
-    if q.scale < f.resolution:
-        raise ScaleMismatch(f"cube scale {q.scale} below resolution {f.resolution}")
-    cells = D.cells(q)
-    amp = D.measure(q) ** -0.5
-    if eta == 0:
-        return f.values[cells].sum(axis=0) * (amp * D.unit)
-    if q.scale <= D.k_min:
-        raise ScaleMismatch("cancellative Haar needs a scale above the finest")
-    half = len(cells) // 2
-    left = f.values[cells[:half]].sum(axis=0)
-    right = f.values[cells[half:]].sum(axis=0)
+    cells, split, amp = _haar_layout(D, q, eta)
+    left = f.values[cells[:split]].sum(axis=0)
+    right = f.values[cells[split:]].sum(axis=0)
     return (left - right) * (amp * D.unit)
 
 
@@ -223,7 +213,7 @@ def martingale_difference(f: StepFunction, q: Cube) -> StepFunction:
     D = f.system
     coef = inner(f, q, 1)
     h = haar_cell_values(D, q, 1)
-    return StepFunction(D, h[:, None, None] * coef[None, :, :], f.resolution)
+    return StepFunction(D, h[:, None, None] * coef[None, :, :])
 
 
 def haar_reconstruction(f: StepFunction, top: Cube = None) -> StepFunction:
@@ -237,16 +227,28 @@ def haar_reconstruction(f: StepFunction, top: Cube = None) -> StepFunction:
         q = stack.pop()
         if q.scale > D.k_min:
             out += martingale_difference(f, q).values
-            stack.extend(D.children(q))
+            stack.extend(D.subcubes(q, 1))
     avg = average(f, top)
     cells = D.cells(top)
     out[cells] += avg[None, :, :]
-    return StepFunction(D, out, f.resolution)
+    return StepFunction(D, out)
 
 
 # ----------------------------------------------------------------------------
 # bilinear shifts
 # ----------------------------------------------------------------------------
+
+def _eta(slot: int, j0: int) -> int:
+    """The slot rule: slot j0 is non-cancellative (eta 0), the others not."""
+    return 0 if slot == j0 else 1
+
+
+def _coefficient_bound(D: DyadicSystem, key) -> float:
+    """(|I1| |I2| |I3|)^{1/2} / |Q|^2, the bound on |alpha_(Q, I1, I2, I3)|."""
+    q, i1, i2, i3 = key
+    m = D.measure
+    return (m(i1) * m(i2) * m(i3)) ** 0.5 / m(q) ** 2
+
 
 class ShiftSpec:
     """Complexity (k1,k2,k3), non-cancellative slot j0, sparse coefficients
@@ -274,20 +276,13 @@ class ShiftSpec:
                         f"{q.scale - self.complexity[j - 1]}")
                 if not system.contains(q, ij):
                     raise ScaleMismatch(f"slot {j} cube not inside Q")
-                eta = 0 if j == self.j0 else 1
-                if eta == 1 and ij.scale <= system.k_min:
-                    raise ScaleMismatch("cancellative slot at the finest scale")
-            if abs(alpha) > self.bound(key) * _BOUND_SLACK:
-                raise CoefficientBound(
-                    f"|alpha| = {abs(alpha):.3e} exceeds {self.bound(key):.3e}")
-
-    def bound(self, key) -> float:
-        q, i1, i2, i3 = key
-        m = self.system.measure
-        return (m(i1) * m(i2) * m(i3)) ** 0.5 / m(q) ** 2
+                _haar_layout(system, ij, self.eta(j))  # no h_I^1 at the finest scale
+            bound = _coefficient_bound(system, key)
+            if abs(alpha) > bound * _BOUND_SLACK:
+                raise CoefficientBound(f"|alpha| = {abs(alpha):.3e} exceeds {bound:.3e}")
 
     def eta(self, slot: int) -> int:
-        return 0 if slot == self.j0 else 1
+        return _eta(slot, self.j0)
 
 
 def shift_apply(S: ShiftSpec, f: StepFunction, g: StepFunction) -> StepFunction:
@@ -302,7 +297,7 @@ def shift_apply(S: ShiftSpec, f: StepFunction, g: StepFunction) -> StepFunction:
         cg = inner(g, i2, S.eta(2))
         h3 = haar_cell_values(D, i3, S.eta(3))
         out += alpha * h3[:, None, None] * (cf @ cg)[None, :, :]
-    return StepFunction(D, out, min(f.resolution, g.resolution))
+    return StepFunction(D, out)
 
 
 def trilinear_form(S: ShiftSpec, f1: StepFunction, f2: StepFunction,
@@ -364,12 +359,12 @@ def rotate_spec(S: ShiftSpec) -> ShiftSpec:
 
 
 def random_admissible_spec(D: DyadicSystem, complexity, j0: int,
-                           rng: np.random.Generator, n_cubes: int = 2,
-                           terms_per_cube: int = 3, extremal: bool = False) -> ShiftSpec:
-    """Draw coefficients uniformly in the admissible disk (or at its edge)."""
+                           rng: np.random.Generator, n_cubes: int = 2) -> ShiftSpec:
+    """Three terms under each of n_cubes random cubes, with coefficients drawn
+    uniformly in the admissible disk."""
     k1, k2, k3 = complexity
-    min_scale = D.k_min + max(k + (0 if j + 1 == j0 else 1)
-                              for j, k in enumerate(complexity))
+    min_scale = D.k_min + max(k + _eta(j, j0)
+                              for j, k in enumerate(complexity, start=1))
     if min_scale > D.k_max:
         raise ScaleMismatch("complexity too deep for the scale window")
     coeffs = {}
@@ -378,32 +373,20 @@ def random_admissible_spec(D: DyadicSystem, complexity, j0: int,
         scale = int(rng.choice(scales))
         q = D.cubes(scale)[int(rng.integers(len(D.cubes(scale))))]
         subs = [D.subcubes(q, k) for k in complexity]
-        for _ in range(terms_per_cube):
+        for _ in range(3):
             key = (q, subs[0][int(rng.integers(len(subs[0])))],
                    subs[1][int(rng.integers(len(subs[1])))],
                    subs[2][int(rng.integers(len(subs[2])))])
-            bound = (D.measure(key[1]) * D.measure(key[2]) * D.measure(key[3])) ** 0.5 \
-                / D.measure(q) ** 2
-            if extremal:
-                coeffs[key] = bound
-            else:
-                r = bound * math.sqrt(rng.uniform())
-                coeffs[key] = r * np.exp(2j * math.pi * rng.uniform())
+            r = _coefficient_bound(D, key) * math.sqrt(rng.uniform())
+            coeffs[key] = r * np.exp(2j * math.pi * rng.uniform())
     return ShiftSpec(D, complexity, j0, coeffs)
 
 
 def dense_extremal_spec(D: DyadicSystem, complexity, j0: int, q: Cube) -> ShiftSpec:
     """All admissible (I1, I2, I3) under one cube, every coefficient at the
     bound; the regrouped-coefficient check is tight on this spec."""
-    subs = [D.subcubes(q, k) for k in complexity]
-    coeffs = {}
-    for i1 in subs[0]:
-        for i2 in subs[1]:
-            for i3 in subs[2]:
-                bound = (D.measure(i1) * D.measure(i2) * D.measure(i3)) ** 0.5 \
-                    / D.measure(q) ** 2
-                coeffs[(q, i1, i2, i3)] = bound
-    return ShiftSpec(D, complexity, j0, coeffs)
+    keys = itertools.product([q], *(D.subcubes(q, k) for k in complexity))
+    return ShiftSpec(D, complexity, j0, {key: _coefficient_bound(D, key) for key in keys})
 
 
 # ----------------------------------------------------------------------------
@@ -435,22 +418,12 @@ def paraproduct_apply(a: Dict[Cube, complex], D: DyadicSystem, f: StepFunction,
             h3 = np.zeros(D.n_units)
             h3[D.cells(q)] = 1.0 / D.measure(q)
         out += aq * h3[:, None, None] * (c1 @ c2)[None, :, :]
-    return StepFunction(D, out, min(f.resolution, g.resolution))
+    return StepFunction(D, out)
 
 
 # ----------------------------------------------------------------------------
 # regrouped-coefficient bound
 # ----------------------------------------------------------------------------
-
-def _cell_haar(D: DyadicSystem, q: Cube, cell: int) -> float:
-    """Value of the cancellative h_Q on one unit cell."""
-    cells = D.cells(q)
-    pos = np.nonzero(cells == cell)[0]
-    if len(pos) == 0:
-        return 0.0
-    amp = D.measure(q) ** -0.5
-    return amp if pos[0] < len(cells) // 2 else -amp
-
 
 def bk_bound_check(S: ShiftSpec, samples: int = 64, l: Tuple[int, int, int] = None,
                    seed: int = 0) -> float:
@@ -466,14 +439,13 @@ def bk_bound_check(S: ShiftSpec, samples: int = 64, l: Tuple[int, int, int] = No
     and the admissible size bound forces |b_K| <= 1.
     """
     D = S.system
-    active = [j for j in (1, 2, 3) if j != S.j0]
     if l is None:
-        l = tuple(S.complexity[j - 1] if j != S.j0 else 0 for j in (1, 2, 3))
+        l = tuple(S.complexity[j - 1] * S.eta(j) for j in (1, 2, 3))
     l = tuple(int(v) for v in l)
-    if l[S.j0 - 1] != 0:
-        raise ValueError("the non-cancellative slot must regroup with l = 0; "
-                         "other choices are not specified by the construction")
     for j in (1, 2, 3):
+        if l[j - 1] and not S.eta(j):
+            raise ValueError("the non-cancellative slot must regroup with l = 0; "
+                             "other choices are not specified by the construction")
         if not 0 <= l[j - 1] <= S.complexity[j - 1]:
             raise ValueError(f"need 0 <= l_{j} <= k_{j}")
 
@@ -485,24 +457,23 @@ def bk_bound_check(S: ShiftSpec, samples: int = 64, l: Tuple[int, int, int] = No
             ij = iis[j - 1]
             lj = D.ancestor(ij, S.complexity[j - 1] - l[j - 1])
             weight *= (D.measure(ij) / D.measure(lj)) ** 0.5
-            if j in active:
+            if S.eta(j):
                 ls.append(lj)
-        grouped.setdefault(q, {})
-        key = tuple(ls)
-        grouped[q][key] = grouped[q].get(key, 0.0) + alpha * weight
+        terms = grouped.setdefault(q, {})
+        terms[tuple(ls)] = terms.get(tuple(ls), 0.0) + alpha * weight
 
     rng = np.random.default_rng(seed)
     worst = 0.0
     for q, terms in grouped.items():
         cells = D.cells(q)
-        pre = D.measure(q) ** 1.5
-        draws = rng.integers(0, len(cells), size=(samples, 2))
-        for za, zb in draws:
-            ca, cb = int(cells[za]), int(cells[zb])
-            val = 0.0 + 0j
-            for (la, lb), b in terms.items():
-                val += b * _cell_haar(D, la, ca) * _cell_haar(D, lb, cb)
-            worst = max(worst, abs(pre * val))
+        za, zb = cells[rng.integers(0, len(cells), size=(samples, 2))].T
+        val = np.zeros(samples, dtype=complex)
+        for (la, lb), b in terms.items():
+            val += b * haar_cell_values(D, la, 1)[za] * haar_cell_values(D, lb, 1)[zb]
+        b_k = D.measure(q) ** 1.5 * val
+        # np.hypot, not np.abs: numpy's vectorized complex modulus can differ
+        # in the last bit from the scalar hypot the recorded values came from
+        worst = np.max(np.hypot(b_k.real, b_k.imag), initial=worst)
     return worst
 
 

@@ -38,9 +38,6 @@ class ScalarFunction:
             )
         return self.derivs[j]
 
-    def deriv_at(self, j: int, s):
-        return self.deriv(j)(s)
-
     def max_abs_deriv(self, j: int, lo: float, hi: float, samples: int = 512) -> float:
         """Sampled sup of |f^(j)| on [lo, hi] (end points included)."""
         if lo > hi:

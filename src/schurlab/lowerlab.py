@@ -247,8 +247,6 @@ def theorem_b1_experiment(p: float, n: int, d: GeometricDiscretization,
                           budget: Budget = Budget(), threads: int | None = None) -> B1Report:
     if d.variant != "B1":
         raise IndexConstraint("theorem_b1_experiment needs a B1 discretization")
-    if d.n < n:
-        d = GeometricDiscretization(d.q, d.k, "B1", n)
     X = PointSet.integers(n)
     search = norm_lower_search("linear", m_plus_symbol(), X, 2 * p, budget,
                                seeds=volterra_candidates(n), threads=threads)
@@ -289,8 +287,6 @@ def theorem_b2_experiment(p: float, n: int, d: GeometricDiscretization,
 
     if d.variant != "B2":
         raise IndexConstraint("theorem_b2_experiment needs a B2 discretization")
-    if d.n < n:
-        d = GeometricDiscretization(d.q, d.k, "B2", n)
     X = PointSet.integers(n)
     search = norm_lower_search("linear", m_plus_symbol(), X, p, budget,
                                seeds=volterra_candidates(n), threads=threads)

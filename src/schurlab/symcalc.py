@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -37,7 +37,6 @@ class HomogeneousSymbol:
 
     profile: Callable  # theta (array ok) -> complex value
     parity: str = "none"  # even | odd | none
-    support_arcs: Optional[tuple] = None
     name: str = ""
 
     def __post_init__(self):
@@ -86,7 +85,7 @@ def bump_symbol(arc=(math.pi / 8, 3 * math.pi / 8), width: float = None) -> Homo
         th = np.mod(np.asarray(th, dtype=float), TWO_PI)
         return smoothstep((th - a) / width) * smoothstep((b - th) / width)
 
-    return HomogeneousSymbol(profile, "none", support_arcs=((a, b),), name="bump")
+    return HomogeneousSymbol(profile, "none", name="bump")
 
 
 def profile_from_table(thetas: Sequence[float], values: Sequence[float]) -> Callable:

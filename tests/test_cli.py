@@ -1,8 +1,13 @@
+import hashlib
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
-from schurlab.cli import main
+from schurlab.cli import build_parser, main
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_divdiff_prints_value(capsys):
@@ -158,6 +163,34 @@ def test_dyadic_and_extrapolate_smoke(tmp_path, capsys):
     assert main(["dyadic", "bk", "--specs", "3", "--samples", "16"]) == 0
     assert "max |b_K|" in capsys.readouterr().out
     assert main(["extrapolate", "--n", "16", "--trials", "3"]) == 0
+
+
+def _benchmark_cli_argv():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return {name: argv for name, argv, _ in workloads.CLI_COMMANDS}
+
+
+@pytest.mark.parametrize("name", ["dyadic_bk", "dyadic_probe"])
+def test_dyadic_csv_matches_benchmark_golden_hash(name, tmp_path, capsys):
+    # the benchmark's argv at seed 0 must reproduce its recorded CSV bytes
+    argv = _benchmark_cli_argv()[name]
+    golden = json.loads((PERFBENCH / "golden.json").read_text())["cli_sha256"]
+    assert main(["--seed", "0", "--out", str(tmp_path)] + argv) == 0
+    digest = hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest()
+    assert digest == golden[name]
+
+
+def test_manifest_config_holds_only_option_dests(tmp_path, capsys):
+    assert main(["--out", str(tmp_path), "divdiff", "--f", "sin",
+                 "--nodes", "1,2"]) == 0
+    config = json.loads((tmp_path / "divdiff_manifest.json").read_text())["config"]
+    _, options = build_parser()
+    dests = {"command"} | options[None][1] | options["divdiff"][1]
+    assert "_t0" not in config and set(config) <= dests
+    assert config["command"] == "divdiff" and config["f"] == "sin"
 
 
 def test_symbol_file_roundtrip(tmp_path, capsys):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from schurlab.dyadic import (DyadicSystem, ShiftSpec, StepFunction,
+from schurlab.dyadic import (Cube, DyadicSystem, ShiftSpec, StepFunction,
                              average, bk_bound_check, carleson_norm,
                              dense_extremal_spec, haar, haar_cell_values,
-                             haar_reconstruction, lp_schatten_norm,
+                             haar_reconstruction, inner, lp_schatten_norm,
                              martingale_difference, paraproduct_apply,
                              random_admissible_spec, rotate_spec, shift_apply,
                              shift_norm_probe, trace_pairing, trilinear_form)
@@ -28,7 +28,7 @@ def test_tiling_and_children(D):
         assert sorted(cells) == list(range(D.n_units))
         if scale > D.k_min:
             for q in D.cubes(scale):
-                c1, c2 = D.children(q)
+                c1, c2 = D.subcubes(q, 1)
                 assert sorted(np.concatenate([D.cells(c1), D.cells(c2)])) == \
                     sorted(D.cells(q))
 
@@ -74,7 +74,7 @@ def test_martingale_difference_cases(D, rng):
                                atol=1e-14)
     f = random_step(D, rng, d=2)
     dq = martingale_difference(f, Q)
-    c1, c2 = D.children(Q)
+    c1, c2 = D.subcubes(Q, 1)
     alt = np.zeros_like(f.values)
     for c in (c1, c2):
         alt[D.cells(c)] += average(f, c)[None, :, :]
@@ -252,3 +252,63 @@ def test_probe_sweep_below_constant_envelope(D):
         kappa_rec = max(kappa_rec, ratio / c)
     # recorded envelope: random-candidate ratios sit far below the constant
     assert np.isfinite(kappa_rec) and kappa_rec < 1.0
+
+
+def test_haar_layout_errors(D):
+    f = StepFunction(D, np.ones((D.n_units, 1, 1), dtype=complex))
+    Q = D.cubes(0)[0]
+    for bad_eta in (2, -1):
+        with pytest.raises(ValueError):
+            haar_cell_values(D, Q, bad_eta)
+        with pytest.raises(ValueError):
+            inner(f, Q, bad_eta)
+    finest = D.cubes(D.k_min)[3]
+    assert inner(f, finest, 0)[0, 0] == D.measure(finest) ** 0.5
+    with pytest.raises(ScaleMismatch):
+        haar_cell_values(D, finest, 1)
+    with pytest.raises(ScaleMismatch):
+        inner(f, finest, 1)
+    with pytest.raises(ScaleMismatch):
+        ShiftSpec(D, (0, 0, 0), 3, {(finest,) * 4: 0.0})
+    below = Cube(D.k_min - 1, 0)
+    for eta in (0, 1):
+        with pytest.raises(ScaleMismatch):
+            haar_cell_values(D, below, eta)
+        with pytest.raises(ScaleMismatch):
+            inner(f, below, eta)
+
+
+# Values recorded before the Haar layout, the coefficient bound and the slot
+# rule were each given one definition; they must stay bitwise equal.
+BK_FROZEN = {
+    ((1, 1, 1), 1): 0.6116818523114823,
+    ((1, 1, 1), 2): 0.6718617738859268,
+    ((1, 1, 1), 3): 0.4887009768818859,
+    ((1, 2, 1), 1): 0.6116818523114824,
+    ((1, 2, 1), 2): 0.33593088694296336,
+    ((1, 2, 1), 3): 0.4887009768818859,
+}
+TRILINEAR_FROZEN = {
+    1: -0.03342371761742825 + 0.2112952459274517j,
+    2: 0.06966627505237057 - 0.028676388195801917j,
+    3: 0.017745270772179602 - 9.648209820775633e-05j,
+}
+
+
+@pytest.mark.parametrize("j0", [1, 2, 3])
+@pytest.mark.parametrize("complexity", [(1, 1, 1), (1, 2, 1)], ids=["111", "121"])
+def test_bk_frozen_values(D, complexity, j0):
+    spec = random_admissible_spec(D, complexity, j0, np.random.default_rng(40 + j0),
+                                  n_cubes=3)
+    assert bk_bound_check(spec, samples=64, seed=j0) == BK_FROZEN[complexity, j0]
+
+
+def test_probe_and_trilinear_frozen_values(D):
+    spec = random_admissible_spec(D, (1, 1, 1), 3, np.random.default_rng(17), n_cubes=3)
+    assert shift_norm_probe(spec, 4, 4, 2, trials=16, d=2, seed=5) == 0.03698170978375635
+    rng = np.random.default_rng(8)
+    for j0 in (1, 2, 3):
+        spec = random_admissible_spec(D, (2, 1, 1), j0, np.random.default_rng(50 + j0),
+                                      n_cubes=3)
+        fs = [random_step(D, rng, d=2) for _ in range(3)]
+        assert trilinear_form(spec, *fs) == TRILINEAR_FROZEN[j0]
