@@ -25,7 +25,7 @@ from .constants import (C_BMO, C_constant, Cprime_constant, D_constant,
 from .decomp import (SectorPartition, decomposition_residual,
                      decomposition_tables, schur_decomposition_residual)
 from .divdiff import divided_difference
-from .errors import ConvergenceFailure, SchurLabError
+from .errors import ConvergenceFailure, SchurLabError, check_count
 from .functions import get_function
 from .hms import GridSpec, hms_norm, hms_theorem_bound, symbol_from_divdiff
 from .lowerlab import (GeometricDiscretization, extrapolation_experiment,
@@ -98,6 +98,8 @@ def cmd_divdiff(args):
 
 
 def cmd_decomp(args):
+    check_count("triples", args.triples)
+    check_count("trials", args.trials)
     f = get_function(args.f)
     P = SectorPartition(epsilon=args.epsilon, band=args.band)
     rng = np.random.default_rng(args.seed)
@@ -255,6 +257,7 @@ def cmd_dyadic(args):
     rng = np.random.default_rng(args.seed)
     complexity = tuple(int(v) for v in _parse_floats(args.complexity))
     if args.action == "bk":
+        check_count("specs", args.specs)
         worst = 0.0
         for _ in range(args.specs):
             spec = random_admissible_spec(D, complexity, args.j0, rng)

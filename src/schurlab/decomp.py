@@ -53,6 +53,12 @@ def smoothstep(t):
     return out
 
 
+def _check_sector(j) -> int:
+    if j not in (1, 2, 3):
+        raise ValueError(f"sector index must be 1, 2 or 3, got {j}")
+    return int(j)
+
+
 def sign1(t):
     """sign with the convention sign(0) = 1."""
     t = np.asarray(t, dtype=float)
@@ -65,7 +71,9 @@ class SectorPartition:
 
     ``band`` is the smoothstep transition width (default epsilon/2); each bump
     support is pulled epsilon/4 inside its open arc.  Both keep the three
-    supports overlapping, so the normalizing sum is positive.
+    supports overlapping, so the normalizing sum is positive.  ``thetas``
+    gives all three theta_j from one pass over the six bumps (three sectors at
+    phi and phi + pi) and one normalizing sum.
     """
 
     epsilon: float = math.pi / 32
@@ -80,15 +88,14 @@ class SectorPartition:
             raise ValueError("band must be positive")
 
     def arcs(self, j: int):
+        _check_sector(j)
         e = self.epsilon
         if j == 1:
             base = [(-2 * e, math.pi / 2 + 2 * e)]
         elif j == 2:
             base = [(math.pi / 2 + e, 3 * math.pi / 4 + e)]
-        elif j == 3:
-            base = [(3 * math.pi / 4 - e, math.pi - e)]
         else:
-            raise ValueError(f"sector index must be 1, 2 or 3, got {j}")
+            base = [(3 * math.pi / 4 - e, math.pi - e)]
         return base + [(a + math.pi, b + math.pi) for a, b in base]
 
     def _bump(self, j: int, phi):
@@ -103,13 +110,17 @@ class SectorPartition:
                 * smoothstep((length - inset - d) / self.band)
         return out
 
-    def theta_of_angle(self, j: int, phi):
-        """theta_j as a function of the angle; even by explicit symmetrization."""
+    def thetas(self, phi):
+        """(theta_1, theta_2, theta_3) of the angle; even by explicit symmetrization."""
         phi = np.asarray(phi, dtype=float)
         nums = [0.5 * (self._bump(k, phi) + self._bump(k, phi + math.pi))
                 for k in (1, 2, 3)]
         den = nums[0] + nums[1] + nums[2]
-        return nums[j - 1] / den
+        return tuple(num / den for num in nums)
+
+    def theta_of_angle(self, j: int, phi):
+        """theta_j as a function of the angle."""
+        return self.thetas(phi)[_check_sector(j) - 1]
 
     def support_bound(self) -> float:
         """Recorded bound for sup |theta_j * psi_j| over the support."""
@@ -141,7 +152,7 @@ def psi(j: int, triple) -> float:
     return (lam[a] - lam[b]) / den
 
 
-# (sector j, use 1 - psi_j?, sign-factor index) for a_1 ... a_6
+# (sector j, use 1 - psi_j?, k of the sign factor e_k) for a_1 ... a_6
 _A_DEFS = {
     1: (1, False, 1), 2: (1, True, 2),
     3: (2, False, 3), 4: (2, True, 1),
@@ -149,27 +160,29 @@ _A_DEFS = {
 }
 
 
-def _sign_factor(idx: int, l0, l1, l2):
-    if idx == 1:
-        return sign1(l1 - l0)
-    if idx == 2:
-        return sign1(l2 - l1)
-    return sign1(l2 - l0)
+def _a_six(l0: float, l1: float, l2: float, P: SectorPartition) -> list:
+    """a_1 ... a_6 at an off-diagonal triple from one evaluation of the partition."""
+    ths = P.thetas(math.atan2(l2 - l1, l1 - l0))
+    signs = (float(sign1(l1 - l0)), float(sign1(l2 - l1)), float(sign1(l2 - l0)))
+    out = []
+    for j, complement, sgn_idx in _A_DEFS.values():
+        th = float(ths[j - 1])
+        if th < _SUPPORT_FLOOR:
+            out.append(0.0)
+        else:
+            p = psi(j, (l0, l1, l2))
+            out.append(signs[sgn_idx - 1] * th * (1.0 - p if complement else p))
+    return out
 
 
 def a_symbol(i: int, triple, P: SectorPartition) -> float:
     """a_i at an off-diagonal triple, with the zero extension off supp(theta)."""
+    if i not in _A_DEFS:
+        raise ValueError(f"a_i index must be 1, ..., 6, got {i}")
     l0, l1, l2 = (float(v) for v in triple)
     if l0 == l1 == l2:
         raise DiagonalQuery(f"a_{i} undefined on the diagonal, got {triple}")
-    j, complement, sgn_idx = _A_DEFS[i]
-    th = theta(j, (l1 - l0, l2 - l1), P)
-    if th < _SUPPORT_FLOOR:
-        return 0.0
-    p = psi(j, (l0, l1, l2))
-    if complement:
-        p = 1.0 - p
-    return float(_sign_factor(sgn_idx, l0, l1, l2)) * th * p
+    return _a_six(l0, l1, l2, P)[int(i) - 1]
 
 
 # ----------------------------------------------------------------------------
@@ -229,21 +242,19 @@ def a_values(l0, l1, l2, P: SectorPartition):
     """The six a_i evaluated on broadcastable arrays of off-diagonal triples."""
     l0, l1, l2 = np.broadcast_arrays(np.asarray(l0, float), np.asarray(l1, float),
                                      np.asarray(l2, float))
-    phi = np.arctan2(l2 - l1, l1 - l0)
-    thetas = {j: P.theta_of_angle(j, phi) for j in (1, 2, 3)}
+    thetas = P.thetas(np.arctan2(l2 - l1, l1 - l0))
     psis = {}
     for j, (a, b, c, d) in _PSI_DEFS.items():
         lam = (l0, l1, l2)
         den = lam[c] - lam[d]
         safe = np.where(den != 0, den, 1.0)
         psis[j] = np.where(den != 0, (lam[a] - lam[b]) / safe, 0.0)
+    signs = (sign1(l1 - l0), sign1(l2 - l1), sign1(l2 - l0))
     out = []
-    for i in range(1, 7):
-        j, complement, sgn_idx = _A_DEFS[i]
-        th = thetas[j]
+    for j, complement, sgn_idx in _A_DEFS.values():
+        th = thetas[j - 1]
         p = 1.0 - psis[j] if complement else psis[j]
-        out.append(_sign_factor(sgn_idx, l0, l1, l2)
-                   * np.where(th > _SUPPORT_FLOOR, th * p, 0.0))
+        out.append(signs[sgn_idx - 1] * np.where(th > _SUPPORT_FLOOR, th * p, 0.0))
     return out
 
 
@@ -272,13 +283,14 @@ def decomposition_residual(f: ScalarFunction, triple, P: SectorPartition) -> flo
         return divided_difference(f, (a, a, b))
 
     eps = lambda a, b: float(sign1(b - a))
+    a = _a_six(l0, l1, l2, P)
     terms = (
-        a_symbol(1, triple, P) * eps(l0, l1) * phi_f(l0, l1),
-        a_symbol(2, triple, P) * eps(l1, l2) * ring_f(l1, l2),
-        a_symbol(3, triple, P) * eps(l0, l2) * ring_f(l0, l2),
-        a_symbol(4, triple, P) * eps(l0, l1) * ring_f(l0, l1),
-        a_symbol(5, triple, P) * eps(l1, l2) * phi_f(l1, l2),
-        a_symbol(6, triple, P) * eps(l0, l2) * phi_f(l0, l2),
+        a[0] * eps(l0, l1) * phi_f(l0, l1),
+        a[1] * eps(l1, l2) * ring_f(l1, l2),
+        a[2] * eps(l0, l2) * ring_f(l0, l2),
+        a[3] * eps(l0, l1) * ring_f(l0, l1),
+        a[4] * eps(l1, l2) * phi_f(l1, l2),
+        a[5] * eps(l0, l2) * phi_f(l0, l2),
     )
     return lhs - sum(terms)
 

@@ -32,7 +32,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from .errors import (BadExponent, CarlesonViolation, CoefficientBound,
-                     OutOfWindow, ScaleMismatch)
+                     OutOfWindow, ScaleMismatch, check_count)
 
 _BOUND_SLACK = 1.0 + 1e-12
 
@@ -438,6 +438,7 @@ def bk_bound_check(S: ShiftSpec, samples: int = 64, l: Tuple[int, int, int] = No
 
     and the admissible size bound forces |b_K| <= 1.
     """
+    check_count("samples", samples)
     D = S.system
     if l is None:
         l = tuple(S.complexity[j - 1] * S.eta(j) for j in (1, 2, 3))
@@ -494,6 +495,7 @@ def shift_norm_probe(S: ShiftSpec, p1: float, p2: float, p: float,
     """Best ratio ||S(f,g)|| / (||f|| ||g||) over random step-function pairs."""
     if abs(1.0 / p - (1.0 / p1 + 1.0 / p2)) > 1e-12:
         raise BadExponent("need 1/p = 1/p1 + 1/p2")
+    check_count("trials", trials)
     D = S.system
     rng = np.random.default_rng(seed)
     best = 0.0

@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all schurlab modules."""
 
+import numbers
+
 
 class SchurLabError(Exception):
     """Base class; the CLI maps these to exit status 2."""
@@ -71,6 +73,12 @@ class SupportViolation(SchurLabError):
 
 class BadBudget(SchurLabError):
     """A search budget with a non-integer or out-of-range count, or no candidates."""
+
+
+def check_count(name: str, value, low: int = 1):
+    """Raise BadBudget unless ``value`` is an integer >= ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise BadBudget(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 class NonFiniteNode(SchurLabError):

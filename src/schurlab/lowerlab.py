@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IndexConstraint, NodeUnderflow
+from .errors import IndexConstraint, NodeUnderflow, check_count
 from .functions import get_function
 from .matrixnum import marcinkiewicz_norm_from_sv, schatten_norm
 from .schur import (Budget, PointSet, apply_bilinear, diagonal_part, m_plus,
@@ -337,6 +337,7 @@ def extrapolation_experiment(n: int = 128, trials: int = 50, seed: int = 0,
     """
     from .decomp import f2_values
 
+    check_count("trials", trials)
     f = get_function(fname)
     X = geometric_point_set(n, q)
     v = X.values

@@ -32,7 +32,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
-import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -43,7 +42,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BadBudget, BadExponent, DimensionMismatch
+from .errors import BadBudget, BadExponent, DimensionMismatch, check_count
 from .matrixnum import as_matrix, schatten_norm_from_sv
 
 _TINY = 1e-300
@@ -199,10 +198,8 @@ class Budget:
     seed: int = 0
 
     def __post_init__(self):
-        for name, low in (("restarts", 0), ("iterations", 1)):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < low:
-                raise BadBudget(f"{name} must be an integer >= {low}, got {v!r}")
+        check_count("restarts", self.restarts, 0)
+        check_count("iterations", self.iterations)
 
 
 @dataclass

@@ -1,13 +1,21 @@
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from schurlab.cli import build_parser, main
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_divdiff_prints_value(capsys):
@@ -165,6 +173,44 @@ def test_dyadic_and_extrapolate_smoke(tmp_path, capsys):
     assert main(["extrapolate", "--n", "16", "--trials", "3"]) == 0
 
 
+# every count option of the CLI, with the flags it needs to be used
+COUNT_OPTIONS = (
+    ["decomp", "--triples"],
+    ["decomp", "--operator-n", "4", "--trials"],
+    ["dyadic", "bk", "--specs"],
+    ["dyadic", "bk", "--samples"],
+    ["dyadic", "probe", "--trials"],
+    ["extrapolate", "--trials"],
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(COUNT_OPTIONS), st.integers(max_value=0))
+def test_nonpositive_count_is_bad_budget(argv, count):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(argv + [str(count)]) == 2
+    assert "BadBudget" in err.getvalue()
+
+
+def test_csvs_independent_of_blas_threads(tmp_path):
+    # the non-search commands run BLAS on its default threads; their CSVs
+    # must not depend on how many that is
+    runs = {}
+    for threads in ("1", "2"):
+        path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, path)))
+        out = tmp_path / threads
+        for argv in (["extrapolate", "--n", "128"], ["decomp", "--operator-n", "96"]):
+            subprocess.run([sys.executable, "-m", "schurlab.cli", "--seed", "0",
+                            "--out", str(out)] + argv, env=env, check=True,
+                           capture_output=True, timeout=300)
+        runs[threads] = {c.name: c.read_bytes() for c in sorted(out.glob("*.csv"))}
+    assert sorted(runs["1"]) == ["decomp.csv", "extrapolate.csv"]
+    assert runs["1"] == runs["2"]
+
+
 def _benchmark_cli_argv():
     spec = importlib.util.spec_from_file_location("perfbench_workloads",
                                                   PERFBENCH / "workloads.py")
@@ -173,8 +219,8 @@ def _benchmark_cli_argv():
     return {name: argv for name, argv, _ in workloads.CLI_COMMANDS}
 
 
-@pytest.mark.parametrize("name", ["dyadic_bk", "dyadic_probe"])
-def test_dyadic_csv_matches_benchmark_golden_hash(name, tmp_path, capsys):
+@pytest.mark.parametrize("name", ["dyadic_bk", "dyadic_probe", "decomp", "extrapolate"])
+def test_cli_csv_matches_benchmark_golden_hash(name, tmp_path, capsys):
     # the benchmark's argv at seed 0 must reproduce its recorded CSV bytes
     argv = _benchmark_cli_argv()[name]
     golden = json.loads((PERFBENCH / "golden.json").read_text())["cli_sha256"]

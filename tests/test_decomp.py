@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -110,6 +111,9 @@ def test_a_symbol_examples(P):
     assert a_symbol(3, (1.0, 5.0, 1.0), P) == 0.0
     with pytest.raises(DiagonalQuery):
         a_symbol(2, (1.0, 1.0, 1.0), P)
+    for i in (0, 7):
+        with pytest.raises(ValueError, match="a_i index"):
+            a_symbol(i, (0.0, 1.0, 2.0), P)
 
 
 def test_a_symbol_odd(P, rng):
@@ -217,3 +221,94 @@ def test_sign1_convention():
     assert sign1(0.0) == 1.0
     assert sign1(-0.0) == 1.0
     np.testing.assert_array_equal(sign1(np.array([-2.0, 0.0, 3.0])), [-1.0, 1.0, 1.0])
+
+
+# ----------------------------------------------------------------------------
+# frozen values: the partition and the six a_i are evaluated once per angle,
+# and every digit must match the per-sector evaluation they were recorded from
+# ----------------------------------------------------------------------------
+
+FROZEN_THETA = {
+    1: "2baa31c3561ff05932f7840697fc760984dfdbe32ea9d56de458a3799e54dbb9",
+    2: "2e5e5b1c1939e3f56ac18d107108f2251092118008846aa02ddc95d6cba8ac23",
+    3: "e89969c18e7cb7982b6ca3db5d5ed574a0ef968ec8b925e92d443ede164fee31",
+}
+FROZEN_A_SYMBOL = "38626a34354debcb8be2146e0cb9efd16b9d0234ff55facd1770080f02c44c50"
+FROZEN_RESIDUAL = {
+    "square": "a58802adf4d55b168aac0a0a9f1ee8c97fd61af2b8ceea5c28abe4d9da0e1a32",
+    "cube": "9d87a08411f5dd88a2f36efc9f8ac91b44d65d5e01f785a809db4fc7a9f5619d",
+    "sin": "13638fae350bdbd0f059ac956ba902f78ba364b9403805a79f136d3700b4b46a",
+    "exp": "383b5d26ff7d20078b155695a240aa2bb48dcab1d83d017ed82c5ff96c3281bd",
+    "abs2": "5c7f55196015d527bc250fa87ebf2627e41674e826737d2865f1d048a6b3fbb5",
+}
+FROZEN_A_TABLES = "2bc2d9ec13a45765d8c254059fbb245fc1d441b3d936615588a254fc5cb0d041"
+FROZEN_DECOMPOSITION_TABLES = {
+    "square": "99a1c3edaad89753b29dcf2e7a44720b6231c838c05c1b8bd90c9b2039cd901c",
+    "cube": "de63a01cae78de81fce0bff924dddbb86dc5100b25cc40b0c5ca6974c7e9638a",
+    "sin": "c32b8dce1aba4e4898114aa8c159e218483b10dc8e8b73a07ee17ce89cf9e950",
+    "exp": "65544ac45e63a0f7549c64560dce887f1bc53fe74c39f95fec4648da59026272",
+    "abs2": "a0d7aa5b529a766c17b741c0fccecc9a0d26eee7f426ba576b83c62c0ab66ccc",
+}
+
+
+def _sha256(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def _frozen_angles():
+    return np.random.default_rng(6).uniform(0.0, 2 * math.pi, 10000)
+
+
+def _frozen_triples():
+    return random_triples(np.random.default_rng(6), 50)
+
+
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_theta_of_angle_frozen(P, j):
+    assert _sha256(P.theta_of_angle(j, _frozen_angles())) == FROZEN_THETA[j]
+
+
+def test_thetas_equal_theta_of_angle_bitwise(P):
+    phis = _frozen_angles()
+    ths = P.thetas(phis)
+    assert len(ths) == 3
+    for j in (1, 2, 3):
+        assert ths[j - 1].tobytes() == P.theta_of_angle(j, phis).tobytes()
+    for phi in phis[:200]:
+        assert tuple(P.thetas(phi)) == tuple(P.theta_of_angle(j, phi) for j in (1, 2, 3))
+
+
+def test_a_symbol_frozen(P):
+    vals = np.array([[a_symbol(i, t, P) for i in range(1, 7)] for t in _frozen_triples()])
+    assert _sha256(vals) == FROZEN_A_SYMBOL
+
+
+@pytest.mark.parametrize("name", ALL_FUNS)
+def test_decomposition_residual_frozen(P, name):
+    f = get_function(name)
+    vals = np.array([decomposition_residual(f, t, P) for t in _frozen_triples()])
+    assert _sha256(vals) == FROZEN_RESIDUAL[name]
+
+
+def test_a_tables_frozen(P):
+    X = PointSet(tuple(np.linspace(-2.0, 2.0, 12)))
+    assert _sha256(*a_tables(X, P)) == FROZEN_A_TABLES
+
+
+@pytest.mark.parametrize("name", ALL_FUNS)
+def test_decomposition_tables_frozen(P, name):
+    X = PointSet(tuple(np.linspace(-2.0, 2.0, 12)))
+    t = decomposition_tables(get_function(name), X, P)
+    digest = _sha256(t["f2"], *t["a"], t["eps_phi"], t["eps_ring"])
+    assert digest == FROZEN_DECOMPOSITION_TABLES[name]
+
+
+@pytest.mark.parametrize("j", [0, 4, -1])
+def test_sector_index_is_validated(P, j):
+    with pytest.raises(ValueError, match="sector index must be 1, 2 or 3"):
+        P.theta_of_angle(j, 2.0)
+    with pytest.raises(ValueError, match="sector index must be 1, 2 or 3"):
+        theta(j, (1.0, -1.0), P)
