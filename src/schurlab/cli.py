@@ -100,6 +100,7 @@ def cmd_divdiff(args):
 def cmd_decomp(args):
     check_count("triples", args.triples)
     check_count("trials", args.trials)
+    check_count("operator_n", args.operator_n, 0)
     f = get_function(args.f)
     P = SectorPartition(epsilon=args.epsilon, band=args.band)
     rng = np.random.default_rng(args.seed)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadExponent
+from .errors import BadExponent, check_count
 
 
 def log_gamma(x: float) -> float:
@@ -123,6 +123,7 @@ def loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
 def asymptotics_table(pmin: float = 1.01, pmax: float = 64.0,
                       points_per_decade: int = 32) -> AsymptoticsTable:
     """D(p, 2p, 2p) over a log grid with its p^4 p* ratio and top-decade slope."""
+    check_count("points_per_decade", points_per_decade)
     n = max(2, int(round(points_per_decade * math.log10(pmax / pmin))))
     ps = np.geomspace(pmin, pmax, n)
     dvals = np.asarray([D_constant(ExponentTriple.split(p)) for p in ps])

@@ -82,7 +82,8 @@ def check_count(name: str, value, low: int = 1):
 
 
 class NonFiniteNode(SchurLabError):
-    """A divided difference was asked for at a NaN or infinite node."""
+    """A divided difference or a kernel was asked for at a NaN or infinite node or
+    evaluation point."""
 
 
 class NodeUnderflow(SchurLabError, OverflowError):

@@ -27,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .divdiff import divdiff_two_var_grid
-from .errors import BadExponent, DiagonalMargin, OrderUnsupported
+from .errors import BadExponent, DiagonalMargin, OrderUnsupported, check_count
 from .functions import KIND_GENERALIZED_ABS, ScalarFunction, sup_deriv
 
 
@@ -70,6 +70,7 @@ class TwoVariableSymbol:
 def symbol_from_divdiff(f: ScalarFunction, n: int, k: int, fd_step: float = 1e-6) -> TwoVariableSymbol:
     """phi_f(lam, mu) = f^[n](lam^(k), mu^(n+1-k)) with analytic partials when
     f^(n+1) exists, central finite differences otherwise."""
+    check_count("n", n)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
 

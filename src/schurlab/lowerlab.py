@@ -42,8 +42,8 @@ class GeometricDiscretization:
     def __post_init__(self):
         if not 0.0 < self.q < 1.0:
             raise ValueError(f"q must lie in (0,1), got {self.q}")
-        if self.k < 1 or self.n < 1:
-            raise ValueError("k and n must be positive integers")
+        check_count("k", self.k)
+        check_count("n", self.n)
         if self.variant not in ("B1", "B2"):
             raise ValueError(f"variant must be 'B1' or 'B2', got {self.variant!r}")
 
@@ -337,6 +337,7 @@ def extrapolation_experiment(n: int = 128, trials: int = 50, seed: int = 0,
     """
     from .decomp import f2_values
 
+    check_count("n", n)
     check_count("trials", trials)
     f = get_function(fname)
     X = geometric_point_set(n, q)

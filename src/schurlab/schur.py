@@ -74,6 +74,7 @@ class PointSet:
 
     @staticmethod
     def integers(n: int) -> "PointSet":
+        check_count("n", n)
         return PointSet(tuple(range(1, n + 1)))
 
 

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .decomp import SectorPartition, smoothstep
-from .errors import BadGrid, OriginQuery, SupportViolation
+from .errors import BadGrid, NonFiniteNode, OriginQuery, SupportViolation, check_count
 
 _I_POWERS = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
 TWO_PI = 2.0 * math.pi
@@ -123,8 +123,7 @@ class CircleCoefficients:
 
 def circle_fourier_coeffs(m: HomogeneousSymbol, K: int) -> CircleCoefficients:
     """alpha_k from 4K-point uniform circle sampling (exact for band limit < 3K)."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    check_count("K", K)
     n = 4 * K
     th = TWO_PI * np.arange(n) / n
     vals = np.asarray(m.profile(th), dtype=complex)
@@ -140,32 +139,50 @@ def coeff_tail_bound(m: HomogeneousSymbol, K: int, factor: int = 4) -> float:
     return float(np.sum(np.abs(ks[mask]) * np.abs(big.alphas[mask])))
 
 
+def _phase_sum(x, s0: float, ds: float, c):
+    """sum_k c[..., k] e^{i x (s0 + k ds)} for x of any shape, shaped c.shape[:-1] + x.shape.
+    Coarse x fine split: with B = ceil(sqrt(N)) and k = bB + r, a (points x B) table
+    e^{i x r ds} times c in rows of B, weighted by a (points x N/B) table e^{i x (s0 + bB ds)}:
+    O(sqrt N) exponentials and memory per point, within about 1e-14 sum|c| of the dense sum."""
+    x = np.asarray(x, dtype=float)
+    B = math.isqrt(c.shape[-1] - 1) + 1
+    pad = [(0, 0)] * (c.ndim - 1) + [(0, -c.shape[-1] % B)]
+    blocks = np.pad(c, pad).reshape(c.shape[:-1] + (-1, B))
+    xs = x.reshape(-1, 1)
+    fine = np.exp(1j * xs * (ds * np.arange(B)))
+    coarse = np.exp(1j * xs * (s0 + B * ds * np.arange(blocks.shape[-2])))
+    out = np.sum((fine @ blocks.swapaxes(-1, -2)) * coarse, axis=-1)
+    return out.reshape(c.shape[:-1] + x.shape)
+
+
 def _kernel_terms(m, z, K, coeffs):
-    """|z|, arg z, (k, c_k) and e^{ik arg z} of the truncated kernel sum at z."""
+    """|z|, arg z, and the kernel sums sum_k c_k e^{ik arg z}, sum_k k c_k e^{ik arg z}."""
     ks, c = (circle_fourier_coeffs(m, K) if coeffs is None else coeffs).kernel_factors()
     z = np.asarray(z, dtype=complex)
+    if not np.all(np.isfinite(z)):
+        raise NonFiniteNode("kernel evaluation point is NaN or infinite")
     r = np.abs(z)
     if np.any(r == 0):
         raise OriginQuery("kernel undefined at the origin")
     th = np.angle(z)
-    return r, th, ks, c, np.exp(1j * np.multiply.outer(th, ks))
+    return r, th, _phase_sum(th, ks[0], 1.0, np.stack([c, ks * c]))
 
 
 def kernel_eval(m: HomogeneousSymbol, z, K: int = 256,
                 coeffs: CircleCoefficients = None):
-    """Truncated kernel sum at z (complex number(s) standing for R^2 points)."""
-    r, _, _, c, phase = _kernel_terms(m, z, K, coeffs)
-    return (phase @ c) / r ** 2
+    """Truncated kernel sum at z (complex number(s) standing for R^2 points); the sum
+    over k is `_phase_sum`'s coarse x fine split, within about 1e-14 sum|c_k|."""
+    r, _, (sums, _) = _kernel_terms(m, z, K, coeffs)
+    return sums / r ** 2
 
 
 def kernel_gradient(m: HomogeneousSymbol, z, K: int = 256,
                     coeffs: CircleCoefficients = None):
     """(d/dx, d/dy) of the truncated kernel, term-wise analytic."""
-    r, th, ks, c, phase = _kernel_terms(m, z, K, coeffs)  # phase: (..., k)
-    cos_t = np.cos(th)[..., None]
-    sin_t = np.sin(th)[..., None]
-    gx = (phase * (-2.0 * cos_t - 1j * ks * sin_t)) @ c / r ** 3
-    gy = (phase * (-2.0 * sin_t + 1j * ks * cos_t)) @ c / r ** 3
+    r, th, (sums, k_sums) = _kernel_terms(m, z, K, coeffs)
+    cos_t, sin_t = np.cos(th), np.sin(th)
+    gx = (-2.0 * cos_t * sums - 1j * sin_t * k_sums) / r ** 3
+    gy = (-2.0 * sin_t * sums + 1j * cos_t * k_sums) / r ** 3
     return gx, gy
 
 
@@ -181,6 +198,10 @@ class SizeSmoothnessReport:
 def size_smoothness_check(m: HomogeneousSymbol, radii=(1.0, 10.0), K: int = 256,
                           n_angles: int = 720) -> SizeSmoothnessReport:
     """Sampled sup of |z|^2 |K(z)| and |z|^3 |grad K(z)| over circles."""
+    radii = np.asarray(radii, dtype=float)
+    if not (radii.ndim == 1 and radii.size and np.all(np.isfinite(radii) & (radii > 0))
+            and n_angles >= 1):
+        raise BadGrid(f"need finite radii > 0 and n_angles >= 1; got {radii}, {n_angles}")
     coeffs = circle_fourier_coeffs(m, K)
     th = TWO_PI * np.arange(n_angles) / n_angles
     c1s, c2s = [], []
@@ -214,17 +235,18 @@ class S1Factorization:
     tail_density: float = field(default=0.0)  # |g(S)| (1+2S)^2 at the grid edge
 
     def reconstruct(self, xi1, xi2):
-        """int g(s) |xi1|^{is} |xi2|^{-is} ds on the quadrant."""
-        xi1 = np.asarray(xi1, dtype=float)
-        xi2 = np.asarray(xi2, dtype=float)
-        if np.any(self.sigma1 * xi1 <= 0) or np.any(self.sigma2 * xi2 <= 0):
-            raise SupportViolation("reconstruction point outside the quadrant")
+        """int g(s) |xi1|^{is} |xi2|^{-is} ds on the quadrant by the trapezoid rule on
+        s_grid; the sum over s is `_phase_sum`'s coarse x fine split, within about
+        1e-14 sum|g w| of the dense sum and with O(sqrt N) memory per point."""
+        xi1, xi2 = np.asarray(xi1, dtype=float), np.asarray(xi2, dtype=float)
+        if not np.all(np.isfinite(xi1) & np.isfinite(xi2)
+                      & (self.sigma1 * xi1 > 0) & (self.sigma2 * xi2 > 0)):
+            raise SupportViolation("reconstruction point not finite and inside the quadrant")
         t = np.log(np.abs(xi1)) - np.log(np.abs(xi2))
-        phase = np.exp(1j * np.multiply.outer(t, self.s_grid))
-        w = np.full(len(self.s_grid), self.s_grid[1] - self.s_grid[0])
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return phase @ (self.g_values * w)
+        s = self.s_grid
+        w = np.full(len(s), s[1] - s[0])
+        w[[0, -1]] *= 0.5
+        return _phase_sum(t, s[0], (s[-1] - s[0]) / (len(s) - 1), self.g_values * w)
 
 
 def _uniform_transform(s, t, x):

@@ -6,8 +6,10 @@ rational nodes) and an extended-precision one (mpmath at >= 40 digits, for the
 transcendental functions).  Both follow the bare textbook recursion with exact
 equality tests and are kept independent of the production path.
 
-The dense exponential sum is the reference for the quadrant factorization
-transform, which production computes by Bluestein's chirp-z algorithm.
+The dense exponential sums are the references for the quadrant factorization
+transform, which production computes by Bluestein's chirp-z algorithm, and for
+the phase sums of the reconstruction and the kernel, which production splits
+into coarse and fine tables.
 """
 
 from fractions import Fraction
@@ -89,6 +91,14 @@ def dense_uniform_transform(s, t, x, chunk=256):
     for start in range(0, len(s), chunk):
         g[start:start + chunk] = np.exp(-1j * np.outer(s[start:start + chunk], t)) @ x
     return g
+
+
+def dense_phase_sum(x, s0, ds, c):
+    """sum_k c[..., k] e^{i x (s0 + k ds)} from the full (points x N) exponential
+    table, shaped c.shape[:-1] + x.shape."""
+    s = s0 + ds * np.arange(c.shape[-1])
+    phase = np.exp(1j * np.multiply.outer(np.asarray(x, dtype=float), s))
+    return np.tensordot(c, phase, axes=([-1], [-1]))
 
 
 @pytest.fixture

@@ -41,6 +41,13 @@ def test_bad_factorization_grid_is_validation_error(grid, capsys):
     assert "BadGrid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("radii", ["nan", "inf", "0", "-1", "1,nan", ""])
+def test_bad_kernel_radii_is_validation_error(radii, capsys):
+    # --radii nan used to print C1_hat nan and exit 0
+    assert main(["symcalc", "kernel", "--radii", radii]) == 2
+    assert "BadGrid" in capsys.readouterr().err
+
+
 def test_bad_tolerance_is_validation_error():
     assert main(["divdiff", "--f", "sin", "--nodes", "1,2", "--tol", "-1"]) == 2
 
@@ -173,23 +180,33 @@ def test_dyadic_and_extrapolate_smoke(tmp_path, capsys):
     assert main(["extrapolate", "--n", "16", "--trials", "3"]) == 0
 
 
-# every count option of the CLI, with the flags it needs to be used
+# every count and size option of the CLI, with the flags it needs to be used
+# and its least valid value
 COUNT_OPTIONS = (
-    ["decomp", "--triples"],
-    ["decomp", "--operator-n", "4", "--trials"],
-    ["dyadic", "bk", "--specs"],
-    ["dyadic", "bk", "--samples"],
-    ["dyadic", "probe", "--trials"],
-    ["extrapolate", "--trials"],
+    (["decomp", "--triples"], 1),
+    (["decomp", "--operator-n", "4", "--trials"], 1),
+    (["decomp", "--operator-n"], 0),  # 0 turns the operator check off
+    (["dyadic", "bk", "--specs"], 1),
+    (["dyadic", "bk", "--samples"], 1),
+    (["dyadic", "probe", "--trials"], 1),
+    (["extrapolate", "--trials"], 1),
+    (["extrapolate", "--n"], 1),
+    (["schur", "--n"], 1),
+    (["lowerlab", "sweep", "--n"], 1),
+    (["lowerlab", "limits", "--k"], 1),
+    (["hms", "--n"], 1),
+    (["constants", "table", "--points-per-decade"], 1),
+    (["symcalc", "kernel", "--K"], 1),
 )
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(st.sampled_from(COUNT_OPTIONS), st.integers(max_value=0))
-def test_nonpositive_count_is_bad_budget(argv, count):
+def test_nonpositive_count_is_bad_budget(option, below):
+    argv, least = option
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        assert main(argv + [str(count)]) == 2
+        assert main(argv + [str(least - 1 + below)]) == 2
     assert "BadBudget" in err.getvalue()
 
 
@@ -219,14 +236,17 @@ def _benchmark_cli_argv():
     return {name: argv for name, argv, _ in workloads.CLI_COMMANDS}
 
 
-@pytest.mark.parametrize("name", ["dyadic_bk", "dyadic_probe", "decomp", "extrapolate"])
+GOLDEN_CLI_SHA256 = json.loads((PERFBENCH / "golden.json").read_text())["cli_sha256"]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CLI_SHA256))
 def test_cli_csv_matches_benchmark_golden_hash(name, tmp_path, capsys):
     # the benchmark's argv at seed 0 must reproduce its recorded CSV bytes
     argv = _benchmark_cli_argv()[name]
-    golden = json.loads((PERFBENCH / "golden.json").read_text())["cli_sha256"]
     assert main(["--seed", "0", "--out", str(tmp_path)] + argv) == 0
-    digest = hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest()
-    assert digest == golden[name]
+    (csv,) = tmp_path.glob("*.csv")  # schur_bilinear writes schur.csv
+    digest = hashlib.sha256(csv.read_bytes()).hexdigest()
+    assert digest == GOLDEN_CLI_SHA256[name]
 
 
 def test_manifest_config_holds_only_option_dests(tmp_path, capsys):

@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from schurlab.decomp import SectorPartition
-from schurlab.errors import BadGrid, OriginQuery, SupportViolation
-from schurlab.symcalc import (TWO_PI, HomogeneousSymbol, _uniform_transform,
+from schurlab.errors import (BadBudget, BadGrid, NonFiniteNode, OriginQuery,
+                             SupportViolation)
+from schurlab.symcalc import (TWO_PI, HomogeneousSymbol, _phase_sum, _uniform_transform,
                               a_base_profile, bump_symbol,
                               circle_fourier_coeffs, coeff_tail_bound,
                               corollary52_constants, harmonic_symbol,
@@ -14,7 +16,7 @@ from schurlab.symcalc import (TWO_PI, HomogeneousSymbol, _uniform_transform,
                               s1_factorize, sine_symbol,
                               size_smoothness_check)
 
-from conftest import dense_uniform_transform
+from conftest import dense_phase_sum, dense_uniform_transform
 
 
 def test_parity_validation():
@@ -251,3 +253,98 @@ def test_profile_from_table_roundtrip():
     fine = np.linspace(0, 2 * math.pi, 1000, endpoint=False)
     ref = np.cos(3 * fine) + 0.5 * np.sin(fine)
     assert np.max(np.abs(prof(fine) - ref)) <= 1e-6
+
+
+@pytest.mark.parametrize("N", [2, 3, 7, 4096, 4097])
+def test_phase_sum_matches_dense_sum(N, rng):
+    c = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    x = rng.uniform(-1.0, 1.0, 200)
+    s0, ds = -40.0, 80.0 / (N - 1)
+    err = np.abs(_phase_sum(x, s0, ds, c) - dense_phase_sum(x, s0, ds, c))
+    assert np.max(err) <= 1e-13 * np.sum(np.abs(c))
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (5,), (3, 4)])
+def test_phase_sum_keeps_the_point_shape(shape, rng):
+    x = np.asarray(rng.uniform(-2.0, 2.0, shape))
+    c = rng.standard_normal((2, 33)) + 1j * rng.standard_normal((2, 33))
+    got = _phase_sum(x, -16.0, 1.0, c)
+    assert got.shape == (2,) + shape
+    np.testing.assert_allclose(got, dense_phase_sum(x, -16.0, 1.0, c), rtol=0,
+                               atol=1e-13 * np.sum(np.abs(c)))
+    assert _phase_sum(x, -16.0, 1.0, c[1]).shape == shape
+
+
+def test_phase_sum_against_extended_precision():
+    # the sum reconstruct forms, against 40 digits on the ideal grid -S + 2S k/(N-1)
+    S, N = 160.0, 4096
+    fac = s1_factorize(bump_symbol(), (1, 1), S=S, N=N)
+    w = np.full(N, fac.s_grid[1] - fac.s_grid[0])
+    w[[0, -1]] *= 0.5
+    c = fac.g_values * w
+    edge = math.log(1.0 / math.tan(math.pi / 8))  # t at either end of the bump sector
+    ts = np.array([-edge, -0.37, 0.0, 0.52, edge])
+    got = _phase_sum(ts, fac.s_grid[0], (fac.s_grid[-1] - fac.s_grid[0]) / (N - 1), c)
+    cs = [mp.mpc(v.real, v.imag) for v in c]
+    for t, v in zip(ts, got):
+        with mp.workdps(40):
+            ds = 2 * mp.mpf(S) / (N - 1)
+            ref = mp.fsum(ck * mp.expj(mp.mpf(float(t)) * (k * ds - S))
+                          for k, ck in enumerate(cs))
+        assert abs(v - complex(ref)) <= 1e-13 * np.sum(np.abs(c)), t
+
+
+def test_reconstruct_keeps_the_point_shape():
+    fac = s1_factorize(bump_symbol(), (1, 1), N=512, t_points=1024)
+    assert np.shape(fac.reconstruct(1.0, 1.0)) == ()
+    assert fac.reconstruct([], []).shape == (0,)
+    xi = np.full((2, 3), 0.7)
+    assert fac.reconstruct(xi, xi).shape == (2, 3)
+    assert abs(fac.reconstruct(1.0, 1.0) - 1.0) <= 1e-3  # the bump's top at pi/4
+
+
+def test_reconstruct_memory_grows_with_sqrt_of_the_grid(rng):
+    # the dense (points x N) table alone is 1000 * 4096 * 16 B = 64 MB
+    fac = s1_factorize(bump_symbol(), (1, 1), N=4096)
+    th = rng.uniform(math.pi / 8, 3 * math.pi / 8, 1000)
+    tracemalloc.start()
+    try:
+        fac.reconstruct(np.cos(th), np.sin(th))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("xi", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan),
+                                (1.0, math.inf), (0.0, 1.0), (-1.0, 1.0), (1.0, -0.0)])
+def test_reconstruct_rejects_points_off_the_open_quadrant(xi):
+    # NaN and infinite points used to reconstruct to nan+nanj
+    fac = s1_factorize(bump_symbol(), (1, 1), N=256, t_points=512)
+    with pytest.raises(SupportViolation):
+        fac.reconstruct([0.5, xi[0]], [0.5, xi[1]])
+
+
+@pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.0, math.nan),
+                               complex(math.inf, 1.0), complex(1.0, -math.inf)])
+def test_kernel_rejects_non_finite_points(z):
+    # NaN used to give NaN, an infinite point 0
+    m = harmonic_symbol(1)
+    for fn in (kernel_eval, kernel_gradient):
+        with pytest.raises(NonFiniteNode):
+            fn(m, np.array([1.0, z]), K=8)
+
+
+@pytest.mark.parametrize("radii, n_angles", [((math.nan,), 720), ((1.0, math.inf), 720),
+                                             ((0.0,), 720), ((-1.0,), 720), ((), 720),
+                                             ((1.0,), 0), ((1.0,), -3)])
+def test_size_smoothness_rejects_bad_grid(radii, n_angles):
+    # radii = (nan,) used to give c1_hat = nan; () and n_angles = 0 bare errors
+    with pytest.raises(BadGrid):
+        size_smoothness_check(harmonic_symbol(1), radii=radii, K=8, n_angles=n_angles)
+
+
+@pytest.mark.parametrize("K", [0, -2, 1.5])
+def test_circle_coeffs_reject_bad_truncation(K):
+    with pytest.raises(BadBudget):
+        circle_fourier_coeffs(harmonic_symbol(1), K)
