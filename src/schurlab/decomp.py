@@ -31,10 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divdiff import divdiff_two_var_grid, divided_difference
-from .errors import DiagonalQuery, OriginQuery, PoleHit
+from .errors import BadParameter, DiagonalQuery, NonFiniteNode, OriginQuery, PoleHit
 from .functions import KIND_GENERALIZED_ABS, ScalarFunction
 from .matrixnum import as_matrix
-from .schur import PointSet, apply_bilinear
+from .schur import PointSet, apply_bilinear, row_slabs
 
 TWO_PI = 2.0 * math.pi
 _SUPPORT_FLOOR = 1e-300
@@ -81,11 +81,11 @@ class SectorPartition:
 
     def __post_init__(self):
         if not 0 < self.epsilon < math.pi / 8:
-            raise ValueError(f"epsilon must lie in (0, pi/8), got {self.epsilon}")
+            raise BadParameter(f"epsilon must lie in (0, pi/8), got {self.epsilon}")
         if self.band is None:
             object.__setattr__(self, "band", self.epsilon / 2)
         if self.band <= 0:
-            raise ValueError("band must be positive")
+            raise BadParameter("band must be positive")
 
     def arcs(self, j: int):
         _check_sector(j)
@@ -192,11 +192,16 @@ def a_symbol(i: int, triple, P: SectorPartition) -> float:
 def f2_values(f: ScalarFunction, l0, l1, l2):
     """Vectorized f^[2] over triples whose coordinates are exactly equal or
     separated (as on a PointSet grid); repeated coordinates use the derivative
-    conventions, the full diagonal uses f''/2 (0 for s|s|)."""
-    l0, l1, l2 = np.broadcast_arrays(np.asarray(l0, float), np.asarray(l1, float),
-                                     np.asarray(l2, float))
-    stacked = np.sort(np.stack([l0, l1, l2]), axis=0)
-    lo, mid, hi = stacked[0], stacked[1], stacked[2]
+    conventions, the full diagonal uses f''/2 (0 for s|s|).  A NaN or infinite
+    node raises NonFiniteNode."""
+    l0, l1, l2 = (np.asarray(x, float) for x in (l0, l1, l2))
+    for x in (l0, l1, l2):
+        if not np.all(np.isfinite(x)):
+            raise NonFiniteNode(f"nodes must be finite, got {x[~np.isfinite(x)].tolist()}")
+    lo, hi = np.minimum(l0, l1), np.maximum(l0, l1)
+    mid = np.minimum(hi, l2)
+    np.maximum(mid, lo, out=mid)  # the median of the three
+    lo, hi = np.minimum(lo, l2), np.maximum(hi, l2)
 
     flo, fmid, fhi = f.eval(lo), f.eval(mid), f.eval(hi)
     d1 = f.deriv(1)
@@ -218,6 +223,16 @@ def f2_values(f: ScalarFunction, l0, l1, l2):
         else:
             out = np.where(diag, f.deriv(2)(lo) / 2.0, out)
     return out
+
+
+def f2_table(f: ScalarFunction, v) -> np.ndarray:
+    """Complex (n, n, n) table of f^[2](v_i, v_j, v_l) over grid labels v,
+    filled in row slabs of i."""
+    v = np.asarray(v, float)
+    tab = np.empty((len(v),) * 3, dtype=complex)
+    for r in row_slabs(len(v)):
+        tab[r] = f2_values(f, v[r, None, None], v[None, :, None], v[None, None, :])
+    return tab
 
 
 def two_var_tables(f: ScalarFunction, X: PointSet):
@@ -318,11 +333,10 @@ def decomposition_residuals(f: ScalarFunction, triples, P: SectorPartition):
 def decomposition_tables(f: ScalarFunction, X: PointSet, P: SectorPartition) -> dict:
     """Everything schur_decomposition_residual needs, precomputed for X."""
     v = X.values
-    f2 = f2_values(f, v[:, None, None], v[None, :, None], v[None, None, :])
     phi, ring = two_var_tables(f, X)
     eps2 = sign1(v[None, :] - v[:, None])
     return {
-        "f2": f2.astype(complex),
+        "f2": f2_table(f, v),
         "a": a_tables(X, P),
         "eps_phi": (eps2 * phi).astype(complex),
         "eps_ring": (eps2 * ring).astype(complex),

@@ -31,7 +31,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .errors import (BadExponent, CarlesonViolation, CoefficientBound,
+from .errors import (BadExponent, BadParameter, CarlesonViolation, CoefficientBound,
                      OutOfWindow, ScaleMismatch, check_count)
 
 _BOUND_SLACK = 1.0 + 1e-12
@@ -51,11 +51,11 @@ class DyadicSystem:
 
     def __post_init__(self):
         if self.k_max <= self.k_min:
-            raise ValueError("need k_min < k_max")
+            raise BadParameter("need k_min < k_max")
         depth = self.k_max - self.k_min
         om = tuple(int(b) for b in self.omega) if self.omega else (0,) * depth
         if len(om) != depth or any(b not in (0, 1) for b in om):
-            raise ValueError(f"omega must be {depth} bits")
+            raise BadParameter(f"omega must be {depth} bits")
         object.__setattr__(self, "omega", om)
 
     @property

@@ -92,3 +92,9 @@ class NodeUnderflow(SchurLabError, OverflowError):
 
 class BadGrid(SchurLabError):
     """A sampling grid with a non-finite or non-positive extent, or too few points."""
+
+
+class BadParameter(SchurLabError, ValueError):
+    """A model parameter outside its admissible range: a divided-difference
+    slot k, a discretization ratio q, a sector overlap epsilon or a dyadic
+    scale range.  Also a ValueError, as these checks raised before."""

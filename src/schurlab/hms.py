@@ -27,7 +27,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .divdiff import divdiff_two_var_grid
-from .errors import BadExponent, DiagonalMargin, OrderUnsupported, check_count
+from .errors import (BadExponent, BadParameter, DiagonalMargin, OrderUnsupported,
+                     check_count)
 from .functions import KIND_GENERALIZED_ABS, ScalarFunction, sup_deriv
 
 
@@ -72,7 +73,7 @@ def symbol_from_divdiff(f: ScalarFunction, n: int, k: int, fd_step: float = 1e-6
     f^(n+1) exists, central finite differences otherwise."""
     check_count("n", n)
     if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+        raise BadParameter(f"need 1 <= k <= n, got k={k}, n={n}")
 
     def value(lam, mu):
         return divdiff_two_var_grid(f, n, k, lam, mu)

@@ -24,12 +24,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IndexConstraint, NodeUnderflow, check_count
+from .errors import BadParameter, IndexConstraint, NodeUnderflow, check_count
 from .functions import get_function
 from .matrixnum import marcinkiewicz_norm_from_sv, schatten_norm
 from .schur import (Budget, PointSet, apply_bilinear, diagonal_part, m_plus,
-                    m_plus_symbol, norm_lower_search, triangular_truncation,
-                    truncation_symbol)
+                    m_plus_symbol, norm_lower_search, row_slabs,
+                    triangular_truncation, truncation_symbol)
 
 
 @dataclass(frozen=True)
@@ -41,11 +41,11 @@ class GeometricDiscretization:
 
     def __post_init__(self):
         if not 0.0 < self.q < 1.0:
-            raise ValueError(f"q must lie in (0,1), got {self.q}")
+            raise BadParameter(f"q must lie in (0,1), got {self.q}")
         check_count("k", self.k)
         check_count("n", self.n)
         if self.variant not in ("B1", "B2"):
-            raise ValueError(f"variant must be 'B1' or 'B2', got {self.variant!r}")
+            raise BadParameter(f"variant must be 'B1' or 'B2', got {self.variant!r}")
 
     @property
     def log_q(self) -> float:
@@ -127,14 +127,13 @@ def limit_symbol(variant: str, i: int, j: int, l: int) -> int:
 
 
 def phi_table(d: GeometricDiscretization) -> np.ndarray:
-    """(n, n, n) table of the discretized symbol; inadmissible triples are 0."""
+    """(n, n, n) table of the discretized symbol, filled in row slabs of i;
+    inadmissible triples are 0."""
     n = d.n
     idx = np.arange(1, n + 1, dtype=float)
-    i = idx[:, None, None]
-    j = idx[None, :, None]
-    l = idx[None, None, :]
-    tab = _phi_values(d, i, j, l)
-    tab = np.broadcast_to(tab, (n, n, n)).copy()
+    tab = np.empty((n, n, n))
+    for r in row_slabs(n):
+        tab[r] = _phi_values(d, idx[r, None, None], idx[None, :, None], idx[None, None, :])
     ar = np.arange(n)
     if d.variant == "B1":
         tab[ar, ar, :] = 0.0  # j == i
@@ -335,14 +334,13 @@ def extrapolation_experiment(n: int = 128, trials: int = 50, seed: int = 0,
     with symbol f^[2] on the geometric point set, and records
     max_{1 <= s <= n} (sum of the s largest singular values) / log(1+s).
     """
-    from .decomp import f2_values
+    from .decomp import f2_table
 
     check_count("n", n)
     check_count("trials", trials)
     f = get_function(fname)
     X = geometric_point_set(n, q)
-    v = X.values
-    tab = f2_values(f, v[:, None, None], v[None, :, None], v[None, None, :]).astype(complex)
+    tab = f2_table(f, X.values)
     sups = np.empty(trials)
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])

@@ -23,8 +23,13 @@ restart is re-measured by one SVD of its witness, so every reported value is
 an SVD-measured achieved ratio and therefore a certified lower bound of the
 true multiplier norm.
 
-The search runs with the bundled OpenBLAS pinned to one thread (restored
-afterwards), so its results do not depend on the BLAS or pool thread count.
+The bilinear action and its two adjoints are evaluated in slabs of
+SLAB_ROWS leading indices, so no n^3 temporary is built.  The action makes
+no BLAS call, so its results do not depend on the BLAS thread count; the
+first adjoint runs one BLAS matrix-vector product per slab row, and only
+inside the search.  The search runs with the bundled OpenBLAS pinned to one
+thread (restored afterwards), so its results do not depend on the BLAS or
+pool thread count.
 """
 
 from __future__ import annotations
@@ -164,6 +169,53 @@ def _square(a, n: int) -> np.ndarray:
     return a
 
 
+# ----------------------------------------------------------------------------
+# n^3 kernels in row slabs
+# ----------------------------------------------------------------------------
+
+# Leading indices per slab: at n = 128 a complex slab is 2 MB and stays in
+# cache, where the whole n^3 product (34 MB) would not.
+SLAB_ROWS = 8
+
+
+def row_slabs(n: int):
+    """Slices of SLAB_ROWS consecutive indices that cover range(n)."""
+    return [slice(s, s + SLAB_ROWS) for s in range(0, n, SLAB_ROWS)]
+
+
+# Each kernel does, slab by slab, what numpy's optimized plan of its
+# three-operand einsum does to the whole table: one broadcast product, then
+# one reduction in the same summation order.  So for n >= 2 the results equal
+# that einsum's bitwise, Fortran order included, with neither its path
+# planning nor its n^3 temporary.
+
+def _bilinear(t, a, b):
+    """C_il = sum_j t_ijl a_ij b_jl, in slabs of i."""
+    out = np.empty(a.shape, dtype=complex, order="F")
+    for r in row_slabs(len(t)):
+        out[r] = np.einsum("ijl,jl->il", a[r, :, None] * t[r], b)
+    return out
+
+
+def _bilinear_adjoint_first(d, tc, bc):
+    """G_ij = sum_l d_il tc_ijl bc_jl, in slabs of j: one BLAS matrix-vector
+    product per j, as in the einsum plan (only the search calls it, with BLAS
+    on one thread)."""
+    out = np.empty(d.shape, dtype=complex, order="F")
+    for r in row_slabs(len(tc)):
+        prod = (tc[:, r] * d[:, None, :]).transpose(1, 0, 2)
+        out[:, r] = np.matmul(prod, bc[r, :, None])[:, :, 0].T
+    return out
+
+
+def _bilinear_adjoint_second(d, tc, ac):
+    """H_jl = sum_i d_il tc_ijl ac_ij, in slabs of j."""
+    out = np.empty(d.shape, dtype=complex, order="F")
+    for r in row_slabs(len(tc)):
+        out[r] = np.einsum("il,ijl->jl", d, ac[:, r, None] * tc[:, r])
+    return out
+
+
 def apply_linear(m, X: PointSet, a) -> np.ndarray:
     a = _square(a, X.n)
     return _table_of(m, X, 2) * a
@@ -171,7 +223,7 @@ def apply_linear(m, X: PointSet, a) -> np.ndarray:
 
 def apply_bilinear(m, X: PointSet, a, b) -> np.ndarray:
     a, b = _square(a, X.n), _square(b, X.n)
-    return np.einsum("ijl,ij,jl->il", _table_of(m, X, 3), a, b, optimize=True)
+    return _bilinear(_table_of(m, X, 3), a, b)
 
 
 def triangular_truncation(a, X: PointSet, sign: str) -> np.ndarray:
@@ -315,10 +367,9 @@ def _ascend(t: np.ndarray, starts, qs, p: float, iterations: int):
         adjoints = (lambda d, a: d * tc,)
     else:
         def forward(a):
-            return np.einsum("ijl,ij,jl->il", t, a[0], a[1], optimize=True)
-        adjoints = (
-            lambda d, a: np.einsum("il,ijl,jl->ij", d, tc, np.conj(a[1]), optimize=True),
-            lambda d, a: np.einsum("ijl,ij,il->jl", tc, np.conj(a[0]), d, optimize=True))
+            return _bilinear(t, a[0], a[1])
+        adjoints = (lambda d, a: _bilinear_adjoint_first(d, tc, np.conj(a[1])),
+                    lambda d, a: _bilinear_adjoint_second(d, tc, np.conj(a[0])))
 
     args = [_normalize(np.array(a, dtype=complex), q) for a, q in zip(starts, qs)]
     best, best_args = -np.inf, tuple(args)

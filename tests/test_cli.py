@@ -52,6 +52,15 @@ def test_bad_tolerance_is_validation_error():
     assert main(["divdiff", "--f", "sin", "--nodes", "1,2", "--tol", "-1"]) == 2
 
 
+@pytest.mark.parametrize("argv", [["hms", "--k", "0"], ["lowerlab", "limits", "--q", "1.5"],
+                                  ["decomp", "--epsilon", "1"],
+                                  ["dyadic", "bk", "--kmin", "2", "--kmax", "1"]])
+def test_bad_parameter_is_named_validation_error(argv, capsys):
+    # these exited 2 through a plain ValueError
+    assert main(argv) == 2
+    assert "error [BadParameter]" in capsys.readouterr().err
+
+
 def test_constants_table_and_manifest(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["--out", str(out), "constants", "table",
@@ -211,20 +220,24 @@ def test_nonpositive_count_is_bad_budget(option, below):
 
 
 def test_csvs_independent_of_blas_threads(tmp_path):
-    # the non-search commands run BLAS on its default threads; their CSVs
-    # must not depend on how many that is
+    # outside the search BLAS runs on its default threads; the CSVs must not
+    # depend on how many that is
+    search = ["--restarts", "1", "--iterations", "10"]
     runs = {}
     for threads in ("1", "2"):
         path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(filter(None, path)))
         out = tmp_path / threads
-        for argv in (["extrapolate", "--n", "128"], ["decomp", "--operator-n", "96"]):
+        for argv in (["extrapolate", "--n", "128"], ["decomp", "--operator-n", "96"],
+                     ["lowerlab", "b1", "--n", "128", *search],
+                     ["lowerlab", "b2", "--p", "1.1", "--n", "128", *search]):
             subprocess.run([sys.executable, "-m", "schurlab.cli", "--seed", "0",
                             "--out", str(out)] + argv, env=env, check=True,
                            capture_output=True, timeout=300)
         runs[threads] = {c.name: c.read_bytes() for c in sorted(out.glob("*.csv"))}
-    assert sorted(runs["1"]) == ["decomp.csv", "extrapolate.csv"]
+    assert sorted(runs["1"]) == ["decomp.csv", "extrapolate.csv", "lowerlab_b1.csv",
+                                 "lowerlab_b2.csv"]
     assert runs["1"] == runs["2"]
 
 

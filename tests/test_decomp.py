@@ -6,12 +6,13 @@ import pytest
 
 from schurlab.decomp import (SectorPartition, a_symbol, a_tables,
                              decomposition_residual, decomposition_residuals,
-                             decomposition_tables, f2_values, psi,
+                             decomposition_tables, f2_table, f2_values, psi,
                              schur_decomposition_residual, sign1, smoothstep,
                              theta, two_var_tables)
 from schurlab.divdiff import divided_difference
-from schurlab.errors import DiagonalQuery, OriginQuery, PoleHit
+from schurlab.errors import DiagonalQuery, NonFiniteNode, OriginQuery, PoleHit
 from schurlab.functions import get_function
+from schurlab.lowerlab import geometric_point_set
 from schurlab.schur import PointSet
 
 ALL_FUNS = ("square", "cube", "sin", "exp", "abs2")
@@ -312,3 +313,43 @@ def test_sector_index_is_validated(P, j):
         P.theta_of_angle(j, 2.0)
     with pytest.raises(ValueError, match="sector index must be 1, 2 or 3"):
         theta(j, (1.0, -1.0), P)
+
+
+# ----------------------------------------------------------------------------
+# the f^[2] table built in row slabs
+# ----------------------------------------------------------------------------
+
+# sha256 of the one-shot table (sorted nodes, then astype(complex)) that
+# decomposition_tables and extrapolation_experiment built before the slabs,
+# on geometric_point_set(33): four whole slabs and one partial one
+FROZEN_F2_TABLE = {
+    "abs2": "df9f1b157cec41fea54b30b5a4a303c2e884d58feda98458391befc87b04324f",
+    "sin": "ec3d2f2bb678bc2e076fb98d7929f2af5cd2655233058df5925b8f0965c36c9c",
+    "exp": "6ec8af48112d492b4ecc482726ba6141a80241af2e4150dfecc7032c8d824691",
+    "cube": "ec4fab9b9a6565f1c464eedd0b7b1bf85e3abdce686711b7fbc4588215842ec2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_F2_TABLE))
+def test_f2_table_equals_one_shot_bitwise(name):
+    f = get_function(name)
+    v = geometric_point_set(33).values
+    tab = f2_table(f, v)
+    one_shot = f2_values(f, v[:, None, None], v[None, :, None], v[None, None, :])
+    assert tab.dtype == complex and tab.shape == (33, 33, 33)
+    assert tab.tobytes() == one_shot.astype(complex).tobytes()
+    assert _sha256(tab) == FROZEN_F2_TABLE[name]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_f2_values_rejects_non_finite_nodes(P, bad):
+    f = get_function("sin")
+    with pytest.raises(NonFiniteNode):
+        f2_values(f, 0.1, bad, 0.5)
+    with pytest.raises(NonFiniteNode):
+        f2_values(f, np.array([0.1, 0.2]), 0.3, np.array([0.5, bad]))
+    # the vectorized residual used to report 0.0 where the scalar one raises
+    with pytest.raises(NonFiniteNode):
+        decomposition_residual(f, (0.1, bad, 0.5), P)
+    with pytest.raises(NonFiniteNode):
+        decomposition_residuals(f, [(0.1, 0.7, -0.4), (0.1, bad, 0.5)], P)

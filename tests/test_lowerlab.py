@@ -1,8 +1,12 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from schurlab.errors import IndexConstraint, SchurLabError
 from schurlab.functions import get_function
+from schurlab import lowerlab
 from schurlab.lowerlab import (B1Report, GeometricDiscretization,
                                extrapolation_experiment, geometric_point_set,
                                limit_convergence_report, limit_symbol,
@@ -193,3 +197,41 @@ def test_extrapolation_report():
     assert len(rep.per_trial) == 8
     rep2 = extrapolation_experiment(n=32, trials=8, seed=1)
     assert rep.envelope == rep2.envelope
+
+
+# sha256 of phi_table(GeometricDiscretization(0.7, 3, variant, 33)) as built
+# in one shot before the slabs
+FROZEN_PHI_TABLE = {
+    "B1": "8bec54309164c4bc957c593a77cd5a786628dfbcdbaed22e5296e6097800cccb",
+    "B2": "cc6098015da42db097bc26233c0483576aa8c3091edca4bd22655dcada430237",
+}
+
+
+@pytest.mark.parametrize("variant", ["B1", "B2"])
+def test_phi_table_equals_one_shot_bitwise(variant):
+    n = 33
+    d = GeometricDiscretization(0.7, 3, variant, n)
+    tab = phi_table(d)
+    i, j, l = np.indices((n, n, n)) + 1
+    admissible = (i != j) & (j != l) if variant == "B1" else i != l
+    one_shot = np.broadcast_to(lowerlab._phi_values(d, i, j, l), (n, n, n))
+    assert tab.tobytes() == np.where(admissible, one_shot, 0.0).tobytes()
+    assert hashlib.sha256(tab.tobytes()).hexdigest() == FROZEN_PHI_TABLE[variant]
+
+
+def _traced_peak_mb(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_n3_builds_hold_no_n3_temporaries():
+    # at n = 128 a complex n^3 table is 32 MB and a real one 16 MB; the
+    # one-shot builds peaked at 212 MB (f^[2] table and action) and 81 MB (B1)
+    assert _traced_peak_mb(lambda: extrapolation_experiment(n=128, trials=1)) < 64
+    for variant in ("B1", "B2"):
+        d = GeometricDiscretization(0.5, 40, variant, 128)
+        assert _traced_peak_mb(lambda: phi_table(d)) < 32

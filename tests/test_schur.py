@@ -472,3 +472,47 @@ def test_tabulated_symbol():
         sym.table(PointSet.integers(4))
     with pytest.raises(ValueError):
         DiscreteSymbol.from_table(np.ones(3))
+
+
+# The n^3 kernels against the three-operand optimized einsum they replace.
+# Sizes cover one slab, whole slabs and every kind of partial last slab.
+_KERNEL_SIZES = [2, 3, 8, 17, 33, 64]
+
+
+def _kernel_inputs(n, real):
+    """A real-valued or complex table (as complex) and three complex matrices."""
+    rng = np.random.default_rng([n, real])
+    t = rng.standard_normal((n, n, n))
+    if not real:
+        t = t + 1j * rng.standard_normal((n, n, n))
+    a, b = random_pair(rng, n)
+    d = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return t.astype(complex), a, b, d
+
+
+def _kernel_pairs(t, a, b, d):
+    """(slab kernel result, einsum reference) for the action and both adjoints."""
+    tc, ac, bc = np.conj(t), np.conj(a), np.conj(b)
+    return [
+        (schur._bilinear(t, a, b),
+         np.einsum("ijl,ij,jl->il", t, a, b, optimize=True)),
+        (schur._bilinear_adjoint_first(d, tc, bc),
+         np.einsum("il,ijl,jl->ij", d, tc, bc, optimize=True)),
+        (schur._bilinear_adjoint_second(d, tc, ac),
+         np.einsum("ijl,ij,il->jl", tc, ac, d, optimize=True)),
+    ]
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real_table", "complex_table"])
+@pytest.mark.parametrize("n", _KERNEL_SIZES)
+def test_bilinear_kernels_equal_einsum_bitwise(n, real):
+    for got, want in _kernel_pairs(*_kernel_inputs(n, real)):
+        assert np.array_equal(got, want)
+        # np.linalg.norm sums in memory order, so the order is part of the result
+        assert got.flags.f_contiguous
+
+
+def test_bilinear_kernels_at_one_point():
+    # at n = 1 the einsum plan takes another path: equal to rounding only
+    for got, want in _kernel_pairs(*_kernel_inputs(1, False)):
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
