@@ -10,8 +10,8 @@ from .matrixnum import (decreasing_rearrangement, holder_split,
                         marcinkiewicz_norm, read_matrix, schatten_norm,
                         singular_values, write_matrix)
 from .schur import (Budget, DiscreteSymbol, PointSet, apply_bilinear,
-                    apply_linear, m_plus, norm_lower_estimate,
-                    norm_lower_search, triangular_truncation)
+                    apply_linear, m_plus, norm_lower_search,
+                    triangular_truncation)
 from .decomp import (SectorPartition, a_symbol, decomposition_residual, psi,
                      schur_decomposition_residual, theta)
 from .hms import GridSpec, hms_norm, hms_theorem_bound, lemma43_check

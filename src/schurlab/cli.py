@@ -31,9 +31,9 @@ from .hms import GridSpec, hms_norm, hms_theorem_bound, symbol_from_divdiff
 from .lowerlab import (GeometricDiscretization, extrapolation_experiment,
                        limit_convergence_report, theorem_b1_experiment,
                        theorem_b2_experiment, truncation_norm_sweep)
-from .schur import (Budget, DiscreteSymbol, PointSet, load_symbol_table,
-                    m_plus_symbol, norm_lower_estimate, ones_symbol,
-                    truncation_symbol, diagonal_symbol)
+from .schur import (Budget, PointSet, load_symbol_table, m_plus_symbol,
+                    norm_lower_search, ones_symbol, truncation_symbol,
+                    diagonal_symbol)
 from .symcalc import (bump_symbol, corollary52_constants, harmonic_symbol,
                       sine_symbol, size_smoothness_check, s1_factorize)
 from .dyadic import (DyadicSystem, bk_bound_check, random_admissible_spec,
@@ -194,7 +194,7 @@ _LINEAR_SYMBOLS = {
 def cmd_schur(args):
     arity = 2 if args.kind == "linear" else 3
     if args.symbol.startswith("@"):
-        sym = DiscreteSymbol.from_table(load_symbol_table(args.symbol[1:], arity))
+        sym = load_symbol_table(args.symbol[1:], arity)
     elif args.symbol == "ones":
         sym = ones_symbol(arity)
     else:
@@ -204,8 +204,8 @@ def cmd_schur(args):
     else:
         X = PointSet.integers(args.n)
     exps = args.p if args.kind == "linear" else (args.p1, args.p2, args.p)
-    est = norm_lower_estimate(args.kind, sym, X, exps, _budget(args),
-                              threads=args.threads)
+    est = norm_lower_search(args.kind, sym, X, exps, _budget(args),
+                            threads=args.threads).ratio
     summary = f"{args.kind} {args.symbol} n={X.n}: achieved ratio {est:.9g}"
     _emit(args, "schur", ["kind", "symbol", "n", "p1", "p2", "p", "ratio"],
           [[args.kind, args.symbol, X.n,

@@ -226,10 +226,10 @@ def f2_values(f: ScalarFunction, l0, l1, l2):
 
 
 def f2_table(f: ScalarFunction, v) -> np.ndarray:
-    """Complex (n, n, n) table of f^[2](v_i, v_j, v_l) over grid labels v,
+    """Real (n, n, n) table of f^[2](v_i, v_j, v_l) over grid labels v,
     filled in row slabs of i."""
     v = np.asarray(v, float)
-    tab = np.empty((len(v),) * 3, dtype=complex)
+    tab = np.empty((len(v),) * 3)
     for r in row_slabs(len(v)):
         tab[r] = f2_values(f, v[r, None, None], v[None, :, None], v[None, None, :])
     return tab
@@ -338,8 +338,8 @@ def decomposition_tables(f: ScalarFunction, X: PointSet, P: SectorPartition) -> 
     return {
         "f2": f2_table(f, v),
         "a": a_tables(X, P),
-        "eps_phi": (eps2 * phi).astype(complex),
-        "eps_ring": (eps2 * ring).astype(complex),
+        "eps_phi": eps2 * phi,
+        "eps_ring": eps2 * ring,
     }
 
 

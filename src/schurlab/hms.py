@@ -31,6 +31,9 @@ from .errors import (BadExponent, BadParameter, DiagonalMargin, OrderUnsupported
                      check_count)
 from .functions import KIND_GENERALIZED_ABS, ScalarFunction, sup_deriv
 
+_FD_STEP = 1e-6  # central-difference step of partials without a closed form
+_MIN_GAP = 1e-3  # least |lam - mu| of a lemma43_check sample
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -68,7 +71,7 @@ class TwoVariableSymbol:
     name: str = ""
 
 
-def symbol_from_divdiff(f: ScalarFunction, n: int, k: int, fd_step: float = 1e-6) -> TwoVariableSymbol:
+def symbol_from_divdiff(f: ScalarFunction, n: int, k: int) -> TwoVariableSymbol:
     """phi_f(lam, mu) = f^[n](lam^(k), mu^(n+1-k)) with analytic partials when
     f^(n+1) exists, central finite differences otherwise."""
     check_count("n", n)
@@ -87,10 +90,10 @@ def symbol_from_divdiff(f: ScalarFunction, n: int, k: int, fd_step: float = 1e-6
             return (n + 1 - k) * divdiff_two_var_grid(f, n + 1, k, lam, mu)
     else:
         def partial_lam(lam, mu):
-            return (value(lam + fd_step, mu) - value(lam - fd_step, mu)) / (2 * fd_step)
+            return (value(lam + _FD_STEP, mu) - value(lam - _FD_STEP, mu)) / (2 * _FD_STEP)
 
         def partial_mu(lam, mu):
-            return (value(lam, mu + fd_step) - value(lam, mu - fd_step)) / (2 * fd_step)
+            return (value(lam, mu + _FD_STEP) - value(lam, mu - _FD_STEP)) / (2 * _FD_STEP)
 
     return TwoVariableSymbol(value, partial_lam, partial_mu,
                              name=f"divdiff[{f.name},n={n},k={k}]")
@@ -176,7 +179,7 @@ def hms_theorem_bound(n: int, k: int, f: ScalarFunction, interval=(-5.0, 5.0)) -
 
 
 def lemma43_check(n: int, k: int, gamma: int, f: ScalarFunction, samples: int = 1000,
-                  box=(-5.0, 5.0), seed: int = 0, min_gap: float = 1e-3) -> float:
+                  box=(-5.0, 5.0), seed: int = 0) -> float:
     """Max over random samples of lhs - rhs for the weighted derivative bound;
     non-positive up to roundoff when the bound holds."""
     if gamma not in (0, 1) or gamma > min(k, n + 1 - k):
@@ -188,8 +191,8 @@ def lemma43_check(n: int, k: int, gamma: int, f: ScalarFunction, samples: int = 
     lo, hi = box
     lam = rng.uniform(lo, hi, samples)
     mu = rng.uniform(lo, hi, samples)
-    shift = np.where(mu >= lam, min_gap, -min_gap)
-    mu = mu + shift  # keep |lam - mu| >= min_gap
+    shift = np.where(mu >= lam, _MIN_GAP, -_MIN_GAP)
+    mu = mu + shift  # keep |lam - mu| >= _MIN_GAP
     sup_fn = sup_deriv(f, n, min(lo, np.min(mu)), max(hi, np.max(mu)))
     rhs = 2.0 ** gamma * math.factorial(k + gamma - 1) / math.factorial(k - 1) \
         * sup_fn / math.factorial(n)

@@ -87,45 +87,31 @@ class DiscreteSymbol:
     """Coefficient function over label pairs (arity 2) or triples (arity 3).
 
     ``coeff`` must broadcast over numpy label arrays.  The table of the latest
-    point set is cached; a symbol made by ``from_table`` has one fixed table.
+    point set is cached, in the dtype of the values ``coeff`` returns.  A
+    tabulated symbol needs no wrapper: every entry point takes the array.
     """
 
-    def __init__(self, arity: int, coeff: Callable | None, name: str = ""):
+    def __init__(self, arity: int, coeff: Callable, name: str = ""):
         if arity not in (2, 3):
             raise ValueError(f"arity must be 2 or 3, got {arity}")
         self.arity = arity
         self.coeff = coeff
         self.name = name
-        self._fixed = None  # the table of a tabulated symbol
         self._last = (None, None)  # (point set, table) of the latest build
 
     def table(self, X: PointSet) -> np.ndarray:
-        if self._fixed is not None:
-            if self._fixed.shape[0] != X.n:
-                raise DimensionMismatch(
-                    f"tabulated symbol size {self._fixed.shape[0]} != |X| = {X.n}")
-            return self._fixed
         last, tab = self._last
         if last != X:
             v = X.values
             grids = ((v[:, None], v[None, :]) if self.arity == 2
                      else (v[:, None, None], v[None, :, None], v[None, None, :]))
-            tab = np.asarray(self.coeff(*grids), dtype=complex)
+            tab = np.asarray(self.coeff(*grids))
             tab = np.broadcast_to(tab, (X.n,) * self.arity).copy()
             self._last = (X, tab)
         return tab
 
     def sup_bound(self, X: PointSet) -> float:
         return float(np.max(np.abs(self.table(X))))
-
-    @staticmethod
-    def from_table(arr, name: str = "") -> "DiscreteSymbol":
-        arr = np.asarray(arr, dtype=complex)
-        if arr.ndim not in (2, 3):
-            raise ValueError("table must be 2-d or 3-d")
-        sym = DiscreteSymbol(arr.ndim, None, name=name)
-        sym._fixed = arr
-        return sym
 
 
 def ones_symbol(arity: int) -> DiscreteSymbol:
@@ -154,8 +140,10 @@ def _table_of(m, X: PointSet, arity: int) -> np.ndarray:
     if isinstance(m, DiscreteSymbol):
         if m.arity != arity:
             raise DimensionMismatch(f"symbol arity {m.arity}, expected {arity}")
-        return m.table(X)
-    arr = np.asarray(m, dtype=complex)
+        m = m.table(X)
+    arr = np.asarray(m)
+    if arr.dtype.kind not in "biufc":
+        raise ValueError(f"symbol table must be numeric, got dtype {arr.dtype}")
     if arr.ndim != arity or arr.shape != (X.n,) * arity:
         raise DimensionMismatch(f"table shape {arr.shape} incompatible with |X| = {X.n}")
     return arr
@@ -279,8 +267,6 @@ def _svd_subgradient(z: np.ndarray, p: float):
     norm = schatten_norm_from_sv(s, p)
     if norm == 0.0:
         return 0.0, np.zeros_like(z)
-    if p == np.inf:
-        return norm, np.outer(u[:, 0], vh[0, :])
     w = (s / norm) ** (p - 1.0)
     return norm, (u * w) @ vh
 
@@ -360,7 +346,10 @@ def _ascend(t: np.ndarray, starts, qs, p: float, iterations: int):
     non-even p (start, ascent steps, polish steps, final value).  An even p
     adds one SVD that re-measures the best value.
     """
-    tc = np.conj(t)
+    # conjugate in complex: a real t would keep +0.0 imaginary parts where
+    # the conjugate of a complex table has -0.0, and in the linear adjoint
+    # those signed zeros reach the SVD and move its last bits
+    tc = np.conj(t, dtype=complex)
     if t.ndim == 2:
         def forward(a):
             return t * a[0]
@@ -512,11 +501,6 @@ def norm_lower_search(kind: str, m, X: PointSet, exponents, budget: Budget = Bud
 
     ratio, wit = max(outcomes, key=lambda o: o[0])  # the first best on ties
     return EstimateResult(ratio, wit, [o[0] for o in outcomes])
-
-
-def norm_lower_estimate(kind: str, m, X: PointSet, exponents, budget: Budget = Budget(),
-                        seeds: Sequence = (), threads: int | None = None) -> float:
-    return norm_lower_search(kind, m, X, exponents, budget, seeds, threads).ratio
 
 
 def load_symbol_table(path, arity: int) -> np.ndarray:

@@ -28,6 +28,7 @@ from .decomp import SectorPartition, smoothstep
 from .errors import BadGrid, NonFiniteNode, OriginQuery, SupportViolation, check_count
 
 _I_POWERS = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
+_SUPPORT_TOL = 1e-12  # largest |m| a profile may keep outside its quadrant
 TWO_PI = 2.0 * math.pi
 
 
@@ -266,11 +267,10 @@ def _uniform_transform(s, t, x):
 
 
 def s1_factorize(m: HomogeneousSymbol, quadrant=( -1, 1), S: float = 40.0,
-                 N: int = 4096, t_points: int = 8192,
-                 support_tol: float = 1e-12) -> S1Factorization:
+                 N: int = 4096, t_points: int = 8192) -> S1Factorization:
     """Fourier factorization of a one-quadrant symbol, with its constant C(m).
 
-    The profile is checked to vanish (up to support_tol) outside the open
+    The profile is checked to vanish (up to _SUPPORT_TOL) outside the open
     quadrant; the t-integral runs over the detected support padded by 2.  g comes
     from Bluestein's chirp-z transform, whose absolute error is about
     eps log(N + T) max|g|: a tail_density below ~1e-15 (1+2S)^2 is rounding noise.
@@ -283,13 +283,13 @@ def s1_factorize(m: HomogeneousSymbol, quadrant=( -1, 1), S: float = 40.0,
     probe = TWO_PI * np.arange(8192) / 8192
     vals = np.asarray(m.profile(probe), dtype=complex)
     outside = ~_quadrant_mask(probe, sigma1, sigma2)
-    if np.max(np.abs(vals[outside]), initial=0.0) > support_tol:
+    if np.max(np.abs(vals[outside]), initial=0.0) > _SUPPORT_TOL:
         raise SupportViolation(
-            f"symbol mass outside quadrant ({sigma1:+d},{sigma2:+d}) exceeds {support_tol}")
+            f"symbol mass outside quadrant ({sigma1:+d},{sigma2:+d}) exceeds {_SUPPORT_TOL}")
 
     s_grid = np.linspace(-S, S, N)
     inside = ~outside
-    if np.max(np.abs(vals[inside]), initial=0.0) <= support_tol:
+    if np.max(np.abs(vals[inside]), initial=0.0) <= _SUPPORT_TOL:
         g = np.zeros(N, dtype=complex)
         return S1Factorization(sigma1, sigma2, s_grid, g, 0.0, (-1.0, 1.0), t_points)
 

@@ -31,7 +31,7 @@ from schurlab.lowerlab import (GeometricDiscretization,
                                theorem_b1_experiment, theorem_b2_experiment,
                                truncation_norm_sweep)
 from schurlab.schur import (Budget, DiscreteSymbol, PointSet, apply_bilinear,
-                            linear_ratio, norm_lower_estimate, ones_symbol,
+                            linear_ratio, norm_lower_search, ones_symbol,
                             triangular_truncation)
 from schurlab.symcalc import (bump_symbol, corollary52_constants,
                               harmonic_symbol, kernel_gradient, s1_factorize,
@@ -422,13 +422,12 @@ def test_criterion_10a_s2_exactness():
     rng = np.random.default_rng(10)
     for _ in range(5):
         tab = rng.uniform(-1, 1, (8, 8)) + 1j * rng.uniform(-1, 1, (8, 8))
-        sym = DiscreteSymbol.from_table(tab)
         i, k = np.unravel_index(np.argmax(np.abs(tab)), tab.shape)
         unit = np.zeros((8, 8), dtype=complex)
         unit[i, k] = 1.0
         # equality up to one ulp of the complex modulus
-        assert linear_ratio(sym, X, unit, 2.0) == \
-            pytest.approx(sym.sup_bound(X), rel=1e-15, abs=0.0)
+        assert linear_ratio(tab, X, unit, 2.0) == \
+            pytest.approx(np.max(np.abs(tab)), rel=1e-15, abs=0.0)
     _stamp("10a", "linear S_2 norm equals sup|m| exactly at the argmax matrix unit")
 
 
@@ -442,16 +441,15 @@ def test_criterion_10b_bilinear_442_bound():
     X = PointSet.integers(8)
     rng = np.random.default_rng(11)
     budget = Budget(20, 60, 0)
-    symbols = [ones_symbol(3),
-               DiscreteSymbol(3, lambda a, b, c: np.sin(a) * np.cos(c)),
-               DiscreteSymbol.from_table(limit_table("B1", 8).astype(complex))]
+    tables = [ones_symbol(3).table(X),
+              DiscreteSymbol(3, lambda a, b, c: np.sin(a) * np.cos(c)).table(X),
+              limit_table("B1", 8)]
     for _ in range(3):
-        tab = rng.uniform(-1, 1, (8, 8, 8)) + 1j * rng.uniform(-1, 1, (8, 8, 8))
-        symbols.append(DiscreteSymbol.from_table(tab))
+        tables.append(rng.uniform(-1, 1, (8, 8, 8)) + 1j * rng.uniform(-1, 1, (8, 8, 8)))
     worst = -np.inf
-    for sym in symbols:
-        est = norm_lower_estimate("bilinear", sym, X, (4.0, 4.0, 2.0), budget)
-        excess = est - sym.sup_bound(X)
+    for tab in tables:
+        est = norm_lower_search("bilinear", tab, X, (4.0, 4.0, 2.0), budget).ratio
+        excess = est - np.max(np.abs(tab))
         worst = max(worst, excess)
     print(f"\nACCEPTANCE 10b: FAIL (expected) - max (4,4,2) estimate excess "
           f"over sup|m| is {worst:+.4f} (limit symbol); the (2,2,2) bound "
@@ -465,10 +463,9 @@ def test_criterion_10c_duality():
     budget = Budget(200, 100, 0)
     for _ in range(3):
         tab = rng.uniform(-1, 1, (4, 4)) + 1j * rng.uniform(-1, 1, (4, 4))
-        sym = DiscreteSymbol.from_table(tab)
         p = 4.0
-        a = norm_lower_estimate("linear", sym, X, p, budget)
-        b = norm_lower_estimate("linear", sym, X, p / (p - 1.0), budget)
+        a = norm_lower_search("linear", tab, X, p, budget).ratio
+        b = norm_lower_search("linear", tab, X, p / (p - 1.0), budget).ratio
         assert abs(a - b) <= 0.05 * max(a, b)
     _stamp("10c", "linear estimates at (p, p*) agree within 5% on 4x4 symbols")
 

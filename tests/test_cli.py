@@ -262,6 +262,15 @@ def test_cli_csv_matches_benchmark_golden_hash(name, tmp_path, capsys):
     assert digest == GOLDEN_CLI_SHA256[name]
 
 
+def test_benchmark_selftest_passes():
+    # metric names and units, the hand-counted SVDs of one restart, and
+    # traced == untraced answers: a library change that breaks the
+    # benchmark's contract fails here (the self-test only reads perfbench/)
+    run = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")], cwd=ROOT,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stdout + run.stderr
+
+
 def test_manifest_config_holds_only_option_dests(tmp_path, capsys):
     assert main(["--out", str(tmp_path), "divdiff", "--f", "sin",
                  "--nodes", "1,2"]) == 0

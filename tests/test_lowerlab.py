@@ -235,3 +235,14 @@ def test_n3_builds_hold_no_n3_temporaries():
     for variant in ("B1", "B2"):
         d = GeometricDiscretization(0.5, 40, variant, 128)
         assert _traced_peak_mb(lambda: phi_table(d)) < 32
+
+
+def test_action_on_real_table_makes_no_complex_copy():
+    # the real B1 table is 16 MB at n = 128: a complex copy per call would
+    # peak at 34 MB, the slabs alone take about 2.5 MB
+    tab = phi_table(GeometricDiscretization(0.5, 40, "B1", 128))
+    rng = np.random.default_rng(0)
+    a, b = (rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
+            for _ in range(2))
+    X = PointSet.integers(128)
+    assert _traced_peak_mb(lambda: apply_bilinear(tab, X, a, b)) < 8

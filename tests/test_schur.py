@@ -17,8 +17,7 @@ from schurlab.matrixnum import schatten_norm, write_matrix
 from schurlab.schur import (Budget, DiscreteSymbol, PointSet, apply_bilinear,
                             apply_linear, diagonal_part, diagonal_symbol,
                             linear_ratio, load_symbol_table, m_plus,
-                            m_plus_symbol, norm_lower_estimate,
-                            norm_lower_search, ones_symbol,
+                            m_plus_symbol, norm_lower_search, ones_symbol,
                             triangular_truncation)
 
 
@@ -132,14 +131,14 @@ def test_m_plus(rng):
 def test_linear_identity_estimate():
     X = PointSet.integers(6)
     for p in (1.5, 2.0, 4.0):
-        est = norm_lower_estimate("linear", ones_symbol(2), X, p, Budget(4, 15, 0))
+        est = norm_lower_search("linear", ones_symbol(2), X, p, Budget(4, 15, 0)).ratio
         assert abs(est - 1.0) <= 1e-9
 
 
 def test_bilinear_hoelder_sharpness():
     X = PointSet.integers(8)
-    est = norm_lower_estimate("bilinear", ones_symbol(3), X, (4.0, 4.0, 2.0),
-                              Budget(20, 60, 0))
+    est = norm_lower_search("bilinear", ones_symbol(3), X, (4.0, 4.0, 2.0),
+                            Budget(20, 60, 0)).ratio
     assert est <= 1.0 + 1e-9
     assert est >= 0.99
 
@@ -159,20 +158,18 @@ def test_bilinear_s2_bound_222(rng):
     X = PointSet.integers(6)
     for trial in range(4):
         tab = rng.uniform(-1, 1, (6, 6, 6)) + 1j * rng.uniform(-1, 1, (6, 6, 6))
-        sym = DiscreteSymbol.from_table(tab)
-        est = norm_lower_estimate("bilinear", sym, X, (2.0, 2.0, 2.0),
-                                  Budget(10, 40, trial))
-        assert est <= sym.sup_bound(X) + 1e-9
+        est = norm_lower_search("bilinear", tab, X, (2.0, 2.0, 2.0),
+                                Budget(10, 40, trial)).ratio
+        assert est <= np.max(np.abs(tab)) + 1e-9
 
 
 def test_linear_duality_small():
     X = PointSet.integers(4)
     rng = np.random.default_rng(3)
     tab = rng.uniform(-1, 1, (4, 4)) + 1j * rng.uniform(-1, 1, (4, 4))
-    sym = DiscreteSymbol.from_table(tab)
     p = 4.0
-    a = norm_lower_estimate("linear", sym, X, p, Budget(200, 100, 0))
-    b = norm_lower_estimate("linear", sym, X, p / (p - 1), Budget(200, 100, 0))
+    a = norm_lower_search("linear", tab, X, p, Budget(200, 100, 0)).ratio
+    b = norm_lower_search("linear", tab, X, p / (p - 1), Budget(200, 100, 0)).ratio
     assert abs(a - b) <= 0.05 * max(a, b)
 
 
@@ -192,9 +189,9 @@ def test_restriction_monotonicity(rng):
 def test_determinism_and_threads():
     X = PointSet.integers(6)
     sym = m_plus_symbol()
-    a = norm_lower_estimate("linear", sym, X, 4.0, Budget(8, 25, 42))
-    b = norm_lower_estimate("linear", sym, X, 4.0, Budget(8, 25, 42))
-    c = norm_lower_estimate("linear", sym, X, 4.0, Budget(8, 25, 42), threads=4)
+    a = norm_lower_search("linear", sym, X, 4.0, Budget(8, 25, 42)).ratio
+    b = norm_lower_search("linear", sym, X, 4.0, Budget(8, 25, 42)).ratio
+    c = norm_lower_search("linear", sym, X, 4.0, Budget(8, 25, 42), threads=4).ratio
     assert a == b == c
 
 
@@ -210,10 +207,10 @@ def test_estimate_budget_monotone():
 def test_bad_exponent():
     X = PointSet.integers(4)
     with pytest.raises(BadExponent):
-        norm_lower_estimate("linear", ones_symbol(2), X, 1.0, Budget(1, 1, 0))
+        norm_lower_search("linear", ones_symbol(2), X, 1.0, Budget(1, 1, 0))
     with pytest.raises(BadExponent):
-        norm_lower_estimate("bilinear", ones_symbol(3), X, (4.0, 4.0, 1.0),
-                            Budget(1, 1, 0))
+        norm_lower_search("bilinear", ones_symbol(3), X, (4.0, 4.0, 1.0),
+                          Budget(1, 1, 0))
 
 
 def test_symbol_table_io(tmp_path, rng):
@@ -230,7 +227,7 @@ def test_symbol_table_io(tmp_path, rng):
     assert np.array_equal(loaded, tab3.reshape(n, n, n))
     X = PointSet.integers(n)
     a, b = (rng.standard_normal((n, n)) for _ in range(2))
-    out = apply_bilinear(DiscreteSymbol.from_table(loaded), X, a, b)
+    out = apply_bilinear(loaded, X, a, b)
     ref = np.einsum("ijl,ij,jl->il", loaded, a.astype(complex), b.astype(complex))
     np.testing.assert_allclose(out, ref, atol=1e-12)
 
@@ -392,6 +389,50 @@ def test_search_values_frozen(kind, exps, want):
     assert len(res.witness) == (1 if kind == "linear" else 2)
 
 
+# A real table is taken as it is: numpy promotes it slab by slab to x + 0j,
+# the bits of its complex copy, so searches and actions equal those on the
+# complex copy bitwise.
+def _real_tables(kind, n):
+    from schurlab.lowerlab import GeometricDiscretization, phi_table
+    X = PointSet.integers(n)
+    if kind == "linear":
+        return X, [m_plus_symbol().table(X)]
+    return X, [phi_table(GeometricDiscretization(0.5, 40, v, n)) for v in ("B1", "B2")]
+
+
+def _assert_same_search(kind, tab, X, exps):
+    assert tab.dtype == float
+    got = norm_lower_search(kind, tab, X, exps, Budget(2, 10, 3))
+    want = norm_lower_search(kind, tab.astype(complex), X, exps, Budget(2, 10, 3))
+    assert got.ratio == want.ratio and got.per_restart == want.per_restart
+    assert [w.tobytes() for w in got.witness] == [w.tobytes() for w in want.witness]
+
+
+@pytest.mark.parametrize("p", [4.0, 1.1, 32.0])
+@pytest.mark.parametrize("n", [16, 64])
+def test_linear_search_on_real_table_equals_complex_bitwise(n, p):
+    X, (tab,) = _real_tables("linear", n)
+    _assert_same_search("linear", tab, X, p)
+
+
+@pytest.mark.parametrize("exps", [(4.0, 4.0, 2.0), (2.0, 2.0, 2.0), (1.5, 3.0, 1.1)])
+def test_bilinear_search_on_real_table_equals_complex_bitwise(exps):
+    X, tables = _real_tables("bilinear", 16)
+    for tab in tables:
+        _assert_same_search("bilinear", tab, X, exps)
+
+
+def test_actions_on_real_table_equal_complex_bitwise(rng):
+    for n in (16, 64):
+        a, b = random_pair(rng, n)
+        X, (t2,) = _real_tables("linear", n)
+        assert apply_linear(t2, X, a).tobytes() == \
+            apply_linear(t2.astype(complex), X, a).tobytes()
+        for t3 in _real_tables("bilinear", n)[1]:
+            assert apply_bilinear(t3, X, a, b).tobytes() == \
+                apply_bilinear(t3.astype(complex), X, a, b).tobytes()
+
+
 def _polish_steps(iterations):
     return max(8, iterations // 8)
 
@@ -464,14 +505,25 @@ def test_symbol_table_cache_keeps_the_latest_point_set():
 
 
 def test_tabulated_symbol():
+    # a tabulated symbol is its array, taken in the dtype of its values
     tab = np.arange(9.0).reshape(3, 3)
-    sym = DiscreteSymbol.from_table(tab)
-    assert "table" not in vars(sym) and sym.arity == 2
-    assert np.array_equal(sym.table(PointSet.integers(3)), tab)
+    a = np.full((3, 3), 1.0 + 2.0j)
+    assert np.array_equal(apply_linear(tab, PointSet.integers(3), a), tab * a)
     with pytest.raises(DimensionMismatch):
-        sym.table(PointSet.integers(4))
-    with pytest.raises(ValueError):
-        DiscreteSymbol.from_table(np.ones(3))
+        apply_linear(tab, PointSet.integers(4), np.ones((4, 4)))
+    with pytest.raises(DimensionMismatch):
+        apply_linear(np.ones(3), PointSet.integers(3), a)
+
+
+def test_string_table_is_rejected():
+    X = PointSet.integers(2)
+    tab = np.array([["1", "0"], ["0", "1"]])
+    sym = DiscreteSymbol(2, lambda lam, mu: np.where(lam == mu, "1", "0"))
+    for call in (lambda: apply_linear(tab, X, np.eye(2)),
+                 lambda: apply_linear(sym, X, np.eye(2)),
+                 lambda: norm_lower_search("linear", tab, X, 4.0, Budget(1, 2, 0))):
+        with pytest.raises(ValueError, match="numeric"):
+            call()
 
 
 # The n^3 kernels against the three-operand optimized einsum they replace.
