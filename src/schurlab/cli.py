@@ -327,7 +327,8 @@ def build_parser():
                     "second-order divided differences.")
     opt(ap, "--seed", type=int, default=0, help="base RNG seed")
     opt(ap, "--threads", type=int, default=None,
-            help="worker threads (default: SCHURLAB_THREADS or 1)")
+            help="search pool threads (default: SCHURLAB_THREADS, else one per "
+                 "available CPU for n >= 64 and 1 below)")
     opt(ap, "--out", type=str, default=None, help="output directory")
     opt(ap, "--config", type=str, default=None,
             help="key = value defaults file; explicit flags win")

@@ -19,6 +19,7 @@ k = 40 with n in the hundreds never underflows.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -27,8 +28,8 @@ import numpy as np
 from .errors import BadParameter, IndexConstraint, NodeUnderflow, check_count
 from .functions import get_function
 from .matrixnum import marcinkiewicz_norm_from_sv, schatten_norm
-from .schur import (Budget, PointSet, apply_bilinear, diagonal_part, m_plus,
-                    m_plus_symbol, norm_lower_search, row_slabs,
+from .schur import (Budget, PointSet, _bilinear, apply_bilinear, diagonal_part,
+                    m_plus, m_plus_symbol, norm_lower_search, row_slabs,
                     triangular_truncation, truncation_symbol)
 
 
@@ -126,20 +127,29 @@ def limit_symbol(variant: str, i: int, j: int, l: int) -> int:
     raise ValueError(f"variant must be 'B1' or 'B2', got {variant!r}")
 
 
+def phi_slab(d: GeometricDiscretization, r: slice) -> np.ndarray:
+    """Rows r (0-based values of i - 1) of phi_table(d); inadmissible triples
+    are 0."""
+    n = d.n
+    idx = np.arange(1, n + 1, dtype=float)
+    rows = np.arange(n)[r]
+    slab = np.empty((len(rows), n, n))
+    slab[...] = _phi_values(d, idx[r, None, None], idx[None, :, None], idx[None, None, :])
+    k, ar = np.arange(len(rows)), np.arange(n)
+    if d.variant == "B1":
+        slab[k, rows, :] = 0.0  # j == i
+        slab[:, ar, ar] = 0.0   # j == l
+    else:
+        slab[k, :, rows] = 0.0  # i == l
+    return slab
+
+
 def phi_table(d: GeometricDiscretization) -> np.ndarray:
     """(n, n, n) table of the discretized symbol, filled in row slabs of i;
     inadmissible triples are 0."""
-    n = d.n
-    idx = np.arange(1, n + 1, dtype=float)
-    tab = np.empty((n, n, n))
-    for r in row_slabs(n):
-        tab[r] = _phi_values(d, idx[r, None, None], idx[None, :, None], idx[None, None, :])
-    ar = np.arange(n)
-    if d.variant == "B1":
-        tab[ar, ar, :] = 0.0  # j == i
-        tab[:, ar, ar] = 0.0  # j == l
-    else:
-        tab[ar, :, ar] = 0.0  # i == l
+    tab = np.empty((d.n,) * 3)
+    for r in row_slabs(d.n):
+        tab[r] = phi_slab(d, r)
     return tab
 
 
@@ -252,8 +262,9 @@ def theorem_b1_experiment(p: float, n: int, d: GeometricDiscretization,
     x = search.witness[0]
     xo = x - diagonal_part(x)          # (1 - P) x
     y = xo.conj().T                    # (1 - P) x^*
-    tab = phi_table(GeometricDiscretization(d.q, d.k, "B1", n))
-    direct = schatten_norm(apply_bilinear(tab, X, y, xo), p)
+    # the table serves one action: its slabs are made as the action reads them
+    slabs = functools.partial(phi_slab, GeometricDiscretization(d.q, d.k, "B1", n))
+    direct = schatten_norm(_bilinear(slabs, y, xo), p)
     denom = schatten_norm(xo, 2 * p) ** 2
     factorized = schatten_norm(
         y @ xo - 2.0 * triangular_truncation(y, X, "-") @ triangular_truncation(xo, X, "+"),
@@ -293,8 +304,8 @@ def theorem_b2_experiment(p: float, n: int, d: GeometricDiscretization,
     z = z / schatten_norm(z, p)
     mplus_value = schatten_norm(m_plus(z, X), p)
     y, x = holder_split(z, p)
-    tab = phi_table(GeometricDiscretization(d.q, d.k, "B2", n))
-    out = apply_bilinear(tab, X, y, x)
+    slabs = functools.partial(phi_slab, GeometricDiscretization(d.q, d.k, "B2", n))
+    out = _bilinear(slabs, y, x)
     direct = schatten_norm(out - diagonal_part(out), p)
     denom = schatten_norm(y, 2 * p) * schatten_norm(x, 2 * p)
     return B2Report(p=float(p), n=n, q=d.q, k=d.k, seed=budget.seed,

@@ -27,9 +27,13 @@ The bilinear action and its two adjoints are evaluated in slabs of
 SLAB_ROWS leading indices, so no n^3 temporary is built.  The action makes
 no BLAS call, so its results do not depend on the BLAS thread count; the
 first adjoint runs one BLAS matrix-vector product per slab row, and only
-inside the search.  The search runs with the bundled OpenBLAS pinned to one
-thread (restored afterwards), so its results do not depend on the BLAS or
-pool thread count.
+inside the search.  The action reads its table one slab at a time, so a
+caller can also hand it slabs computed on demand.
+
+The search runs its jobs on a thread pool, by default from n = POOL_MIN_N on,
+with the bundled OpenBLAS pinned to one thread (restored afterwards); each
+restart draws from its own generator, so its results do not depend on the
+BLAS or pool thread count.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -177,11 +181,12 @@ def row_slabs(n: int):
 # that einsum's bitwise, Fortran order included, with neither its path
 # planning nor its n^3 temporary.
 
-def _bilinear(t, a, b):
-    """C_il = sum_j t_ijl a_ij b_jl, in slabs of i."""
+def _bilinear(slab, a, b):
+    """C_il = sum_j t_ijl a_ij b_jl, in slabs of i; slab(r) returns t[r]
+    (``t.__getitem__`` for a stored table)."""
     out = np.empty(a.shape, dtype=complex, order="F")
-    for r in row_slabs(len(t)):
-        out[r] = np.einsum("ijl,jl->il", a[r, :, None] * t[r], b)
+    for r in row_slabs(len(a)):
+        out[r] = np.einsum("ijl,jl->il", a[r, :, None] * slab(r), b)
     return out
 
 
@@ -211,7 +216,7 @@ def apply_linear(m, X: PointSet, a) -> np.ndarray:
 
 def apply_bilinear(m, X: PointSet, a, b) -> np.ndarray:
     a, b = _square(a, X.n), _square(b, X.n)
-    return _bilinear(_table_of(m, X, 3), a, b)
+    return _bilinear(_table_of(m, X, 3).__getitem__, a, b)
 
 
 def triangular_truncation(a, X: PointSet, sign: str) -> np.ndarray:
@@ -330,11 +335,12 @@ def bilinear_ratio(m, X: PointSet, x, y, p1: float, p2: float, p: float) -> floa
     return _svd_schatten(apply_bilinear(m, X, x, y), p) / (dx * dy)
 
 
-def _ascend(t: np.ndarray, starts, qs, p: float, iterations: int):
+def _ascend(t: np.ndarray, tc: np.ndarray, starts, qs, p: float, iterations: int):
     """One restart: the best ||M(a)||_p found over unit-S_q arguments a.
 
     A 2-d table t acts on one argument, M(a) = t * a[0]; a 3-d table is the
-    bilinear action on two.  qs holds the argument exponents.  Normalized
+    bilinear action on two.  tc is the complex conjugate of t, shared by the
+    jobs of a search.  qs holds the argument exponents.  Normalized
     subgradient ascent from the normalized starts is followed by an
     alternating dual-alignment polish, one argument at a time; every polish
     half-step is an exact partial maximization, so the objective is monotone
@@ -346,17 +352,13 @@ def _ascend(t: np.ndarray, starts, qs, p: float, iterations: int):
     non-even p (start, ascent steps, polish steps, final value).  An even p
     adds one SVD that re-measures the best value.
     """
-    # conjugate in complex: a real t would keep +0.0 imaginary parts where
-    # the conjugate of a complex table has -0.0, and in the linear adjoint
-    # those signed zeros reach the SVD and move its last bits
-    tc = np.conj(t, dtype=complex)
     if t.ndim == 2:
         def forward(a):
             return t * a[0]
         adjoints = (lambda d, a: d * tc,)
     else:
         def forward(a):
-            return _bilinear(t, a[0], a[1])
+            return _bilinear(t.__getitem__, a[0], a[1])
         adjoints = (lambda d, a: _bilinear_adjoint_first(d, tc, np.conj(a[1])),
                     lambda d, a: _bilinear_adjoint_second(d, tc, np.conj(a[0])))
 
@@ -446,23 +448,53 @@ def _one_blas_thread():
                 put(_pin_saved)
 
 
-def default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("SCHURLAB_THREADS", "1")))
-    except ValueError:
-        return 1
+# Least n at which a search without a thread setting runs its jobs on the
+# pool.  Speed-up of 2 pool threads over 1 (6 jobs, best of 3, BLAS on one
+# thread, 2-core host):
+#
+#   search                 n=16  n=32  n=64  n=128
+#   linear p=4             0.55  0.90  0.98  1.94
+#   linear p=1.1           0.96  0.98  1.28  1.59
+#   linear p=32            0.94  1.01  1.36  1.58
+#   bilinear (4,4,2)       0.78  1.18  1.67
+#   bilinear (1.5,3,1.1)   0.63  1.22  1.50
+#
+# (bilinear at n=8: 0.60 and 0.76).  Below n=64 the gain is small or
+# negative.
+POOL_MIN_N = 64
+
+
+def _pool_threads(n: int, jobs: int, threads: int | None) -> int:
+    """Pool threads of a search over ``jobs`` jobs at size n; BadBudget for a
+    thread count that is not an integer >= 1."""
+    name = "threads"
+    if threads is None:
+        threads = os.environ.get("SCHURLAB_THREADS")
+        if threads is None:
+            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1)
+            return min(cpus, jobs) if n >= POOL_MIN_N else 1
+        name = "SCHURLAB_THREADS"
+        with suppress(ValueError):
+            threads = int(threads)
+    check_count(name, threads)
+    return threads
 
 
 def norm_lower_search(kind: str, m, X: PointSet, exponents, budget: Budget = Budget(),
                       seeds: Sequence = (), threads: int | None = None) -> EstimateResult:
     """Best achieved ratio over seeded candidates plus Gaussian restarts.
 
-    Restart r draws its start from default_rng([budget.seed, r]), so the result
-    is independent of how restarts are distributed over threads; numpy's
-    bundled OpenBLAS runs on one thread meanwhile, which makes it independent
-    of the BLAS thread setting too.
+    The jobs (seeds, then restarts) run on ``threads`` pool threads; None
+    means SCHURLAB_THREADS if set, else one per available CPU (at most one
+    per job) when n >= POOL_MIN_N, else 1.  Restart r draws its start from
+    default_rng([budget.seed, r]), so the result is independent of how
+    restarts are distributed over threads; numpy's bundled OpenBLAS runs on
+    one thread meanwhile, which makes it independent of the BLAS thread
+    setting too.
     """
     n = X.n
+    workers = _pool_threads(n, len(seeds) + budget.restarts, threads)
     if kind == "linear":
         (p,) = tuple(np.atleast_1d(exponents)) if np.ndim(exponents) else (exponents,)
         qs = (p,)
@@ -486,12 +518,15 @@ def norm_lower_search(kind: str, m, X: PointSet, exponents, budget: Budget = Bud
             rng = np.random.default_rng([budget.seed, job])
             job = tuple(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
                         for _ in qs)
-        return _ascend(t, job, qs, p, budget.iterations)
+        return _ascend(t, tc, job, qs, p, budget.iterations)
 
     jobs = [checked(s) for s in seeds] + list(range(budget.restarts))
     if not jobs:
         raise BadBudget("nothing to search: no seeds and budget.restarts == 0")
-    workers = default_threads() if threads is None else max(1, threads)
+    # conjugate in complex: a real t would keep +0.0 imaginary parts where
+    # the conjugate of a complex table has -0.0, and in the linear adjoint
+    # those signed zeros reach the SVD and move its last bits
+    tc = np.conj(t, dtype=complex)
     with _one_blas_thread():
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:

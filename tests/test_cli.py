@@ -206,39 +206,54 @@ COUNT_OPTIONS = (
     (["hms", "--n"], 1),
     (["constants", "table", "--points-per-decade"], 1),
     (["symcalc", "kernel", "--K"], 1),
+    (["--threads"], 1, "schur", "--n", "4", "--restarts", "1", "--iterations", "2"),
 )
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(COUNT_OPTIONS), st.integers(max_value=0))
 def test_nonpositive_count_is_bad_budget(option, below):
-    argv, least = option
+    argv, least, *command = option  # a top-level option precedes its command
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        assert main(argv + [str(least - 1 + below)]) == 2
+        assert main(argv + [str(least - 1 + below)] + command) == 2
     assert "BadBudget" in err.getvalue()
+
+
+def _cli_csvs(out, argvs, blas_threads="1", top=()):
+    """CSV bytes of the CLI runs of ``argvs`` in fresh processes."""
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
+               PYTHONPATH=os.pathsep.join(filter(None, path)))
+    env.pop("SCHURLAB_THREADS", None)
+    for argv in argvs:
+        subprocess.run([sys.executable, "-m", "schurlab.cli", "--seed", "0",
+                        "--out", str(out), *top] + argv, env=env, check=True,
+                       capture_output=True, timeout=300)
+    return {c.name: c.read_bytes() for c in sorted(out.glob("*.csv"))}
 
 
 def test_csvs_independent_of_blas_threads(tmp_path):
     # outside the search BLAS runs on its default threads; the CSVs must not
-    # depend on how many that is
+    # depend on how many that is.  At n = 128 the searches run on the pool by
+    # default; the CSVs must not depend on that either.
     search = ["--restarts", "1", "--iterations", "10"]
-    runs = {}
-    for threads in ("1", "2"):
-        path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, path)))
-        out = tmp_path / threads
-        for argv in (["extrapolate", "--n", "128"], ["decomp", "--operator-n", "96"],
-                     ["lowerlab", "b1", "--n", "128", *search],
-                     ["lowerlab", "b2", "--p", "1.1", "--n", "128", *search]):
-            subprocess.run([sys.executable, "-m", "schurlab.cli", "--seed", "0",
-                            "--out", str(out)] + argv, env=env, check=True,
-                           capture_output=True, timeout=300)
-        runs[threads] = {c.name: c.read_bytes() for c in sorted(out.glob("*.csv"))}
+    experiments = [["lowerlab", "b1", "--n", "128", *search],
+                   ["lowerlab", "b2", "--p", "1.1", "--n", "128", *search]]
+    argvs = [["extrapolate", "--n", "128"], ["decomp", "--operator-n", "96"], *experiments]
+    runs = {threads: _cli_csvs(tmp_path / threads, argvs, threads) for threads in ("1", "2")}
     assert sorted(runs["1"]) == ["decomp.csv", "extrapolate.csv", "lowerlab_b1.csv",
                                  "lowerlab_b2.csv"]
     assert runs["1"] == runs["2"]
+    serial = _cli_csvs(tmp_path / "serial", experiments, top=["--threads", "1"])
+    assert serial == {k: v for k, v in runs["1"].items() if k.startswith("lowerlab")}
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+def test_bad_schurlab_threads_exits_2(monkeypatch, capsys, value):
+    monkeypatch.setenv("SCHURLAB_THREADS", value)
+    assert main(["schur", "--n", "4", "--restarts", "1", "--iterations", "2"]) == 2
+    assert "SCHURLAB_THREADS" in capsys.readouterr().err
 
 
 def _benchmark_cli_argv():

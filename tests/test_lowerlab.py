@@ -219,6 +219,46 @@ def test_phi_table_equals_one_shot_bitwise(variant):
     assert hashlib.sha256(tab.tobytes()).hexdigest() == FROZEN_PHI_TABLE[variant]
 
 
+# sha256 of phi_table(GeometricDiscretization(0.5, 40, variant, n)) as built
+# before the tables were filled from phi_slab
+FROZEN_PHI_TABLE_40 = {
+    ("B1", 5): "feb8f3d6d57160567b06ce5c99bde2105b7d6448c7abe759399a265f8ac333c1",
+    ("B1", 8): "9747345fe09d9b6a8e822b8ff8fb38960a7cfc66ecb4446890443a989a1345f6",
+    ("B1", 13): "964f0a6057148be84b8d8a3e461448a53510c079c1986e45b6a621c9cf9cb467",
+    ("B1", 64): "8600a9050dbb5281dcca882b83ad2b19d53e78d6ab6724473810f44d9f17854d",
+    ("B1", 128): "d8a3f84bff68b7644360efcc872003def12df0f82f3d3a4248266f5153bfc4fb",
+    ("B2", 5): "f0b645f74c3d0a9fc53aa12649ca87f33e4f6fbfe0bc3df3a32d22be4ca91138",
+    ("B2", 8): "c5421963a99820ae75cc5a79573c1743b70b6c7ca0e2a537100b8d79ed6d303d",
+    ("B2", 13): "8fb0d36a8b476c44eaa6d5d30b45873888ef19141da2f15039f2e960fa27beae",
+    ("B2", 64): "92f552ab5ae1ed7e8164b309c0c61c93c0c591258f08569e0b93231c453fd738",
+    ("B2", 128): "bc34e9f290a3cd1b0e78d4085bb0a9af97f7bb613dda35b3360cb65ac822b645",
+}
+
+
+@pytest.mark.parametrize("variant, n", sorted(FROZEN_PHI_TABLE_40))
+def test_phi_table_from_slabs_frozen(variant, n):
+    d = GeometricDiscretization(0.5, 40, variant, n)
+    tab = phi_table(d)
+    assert hashlib.sha256(tab.tobytes()).hexdigest() == FROZEN_PHI_TABLE_40[variant, n]
+    assert lowerlab.phi_slab(d, slice(1, 4)).tobytes() == tab[1:4].tobytes()
+
+
+def test_b1_b2_reports_frozen():
+    # n = 128 reports as computed from a stored phi_table and a serial search
+    b1 = theorem_b1_experiment(16.0, 128, GeometricDiscretization(0.5, 40, "B1", 128),
+                               Budget(1, 10))
+    assert b1 == B1Report(
+        p=16.0, n=128, q=0.5, k=40, seed=0, nu=3.25412488676874,
+        direct_value=5.106900001354235, implied_bound=5.106900001354233,
+        factorized_value=5.1069000013603905, factorization_gap=6.155076448521868e-12)
+    b2 = theorem_b2_experiment(1.1, 128, GeometricDiscretization(0.5, 40, "B2", 128),
+                               Budget(1, 10))
+    assert b2 == lowerlab.B2Report(
+        p=1.1, n=128, q=0.5, k=40, seed=0, mu=2.6859652859834293,
+        direct_value=2.6859652859820344, implied_bound=2.685965285982034,
+        mplus_value=2.685965285983428, consistency_gap=1.3935519405094965e-12)
+
+
 def _traced_peak_mb(call):
     tracemalloc.start()
     try:
@@ -230,11 +270,16 @@ def _traced_peak_mb(call):
 
 def test_n3_builds_hold_no_n3_temporaries():
     # at n = 128 a complex n^3 table is 32 MB and a real one 16 MB; the
-    # one-shot builds peaked at 212 MB (f^[2] table and action) and 81 MB (B1)
+    # one-shot builds peaked at 212 MB (f^[2] table and action) and 81 MB (B1),
+    # and the B1 experiment at 22.8 MB with a stored table
     assert _traced_peak_mb(lambda: extrapolation_experiment(n=128, trials=1)) < 64
     for variant in ("B1", "B2"):
         d = GeometricDiscretization(0.5, 40, variant, 128)
         assert _traced_peak_mb(lambda: phi_table(d)) < 32
+    # the B1 experiment reads its table slab by slab: a stored one is 16 MB
+    d = GeometricDiscretization(0.5, 40, "B1", 128)
+    assert _traced_peak_mb(lambda: theorem_b1_experiment(16, 128, d, Budget(1, 10),
+                                                         threads=1)) < 12
 
 
 def test_action_on_real_table_makes_no_complex_copy():

@@ -195,6 +195,70 @@ def test_determinism_and_threads():
     assert a == b == c
 
 
+@pytest.mark.parametrize("cpus, jobs", [(4, 6), (4, 3), (1, 6)])
+def test_pool_gate(monkeypatch, cpus, jobs):
+    # without a thread setting the pool takes every available CPU (one per
+    # job at most) from n = POOL_MIN_N = 64 on, and one thread below
+    monkeypatch.delenv("SCHURLAB_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    assert schur.POOL_MIN_N == 64
+    assert schur._pool_threads(63, jobs, None) == 1
+    assert schur._pool_threads(64, jobs, None) == min(cpus, jobs)
+    assert schur._pool_threads(64, jobs, 1) == 1
+    monkeypatch.setenv("SCHURLAB_THREADS", "1")
+    assert schur._pool_threads(128, jobs, None) == 1
+    assert schur._pool_threads(8, jobs, 3) == 3
+
+
+@pytest.mark.parametrize("threads", [0, -3, 2.0, True])
+def test_bad_thread_count_is_bad_budget(threads):
+    with pytest.raises(BadBudget, match="threads"):
+        norm_lower_search("linear", m_plus_symbol(), PointSet.integers(4), 4.0,
+                          Budget(1, 2), threads=threads)
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", ""])
+def test_bad_schurlab_threads_is_bad_budget(monkeypatch, value):
+    monkeypatch.setenv("SCHURLAB_THREADS", value)
+    with pytest.raises(BadBudget, match="SCHURLAB_THREADS"):
+        norm_lower_search("linear", m_plus_symbol(), PointSet.integers(4), 4.0,
+                          Budget(1, 2))
+
+
+def _pooled_and_serial(monkeypatch, *args, **kwargs):
+    """The search with the default pool (two CPUs available) and with one thread."""
+    monkeypatch.delenv("SCHURLAB_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return [norm_lower_search(*args, **kwargs, threads=t) for t in (None, 1)]
+
+
+def _same_bits(a, b):
+    return (a.ratio.hex() == b.ratio.hex()
+            and [r.hex() for r in a.per_restart] == [r.hex() for r in b.per_restart]
+            and [w.tobytes() for w in a.witness] == [w.tobytes() for w in b.witness])
+
+
+@pytest.mark.parametrize("p", [4.0, 1.1, 32.0])
+@pytest.mark.parametrize("n", [64, 128])
+def test_pooled_default_equals_serial_linear(monkeypatch, n, p):
+    from schurlab.lowerlab import volterra_candidates
+
+    pooled, serial = _pooled_and_serial(monkeypatch, "linear", m_plus_symbol(),
+                                        PointSet.integers(n), p, Budget(1, 4, 3),
+                                        seeds=volterra_candidates(n))
+    assert _same_bits(pooled, serial)
+
+
+def test_pooled_default_equals_serial_bilinear(monkeypatch):
+    from schurlab.lowerlab import GeometricDiscretization, phi_table
+
+    tab = phi_table(GeometricDiscretization(0.5, 40, "B1", 64))
+    pooled, serial = _pooled_and_serial(monkeypatch, "bilinear", tab, PointSet.integers(64),
+                                        (4.0, 4.0, 2.0), Budget(2, 3, 7))
+    assert _same_bits(pooled, serial)
+
+
 def test_estimate_budget_monotone():
     X = PointSet.integers(6)
     sym = m_plus_symbol()
@@ -546,7 +610,7 @@ def _kernel_pairs(t, a, b, d):
     """(slab kernel result, einsum reference) for the action and both adjoints."""
     tc, ac, bc = np.conj(t), np.conj(a), np.conj(b)
     return [
-        (schur._bilinear(t, a, b),
+        (schur._bilinear(t.__getitem__, a, b),
          np.einsum("ijl,ij,jl->il", t, a, b, optimize=True)),
         (schur._bilinear_adjoint_first(d, tc, bc),
          np.einsum("il,ijl,jl->ij", d, tc, bc, optimize=True)),
