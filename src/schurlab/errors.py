@@ -86,10 +86,6 @@ class NonFiniteNode(SchurLabError):
     evaluation point."""
 
 
-class NodeUnderflow(SchurLabError, OverflowError):
-    """Geometric node magnitudes q^{k i} underflow double precision."""
-
-
 class BadGrid(SchurLabError):
     """A sampling grid with a non-finite or non-positive extent, or too few points."""
 

@@ -13,23 +13,28 @@ Discretization variants (q in (0,1), scale k, indices 1..n):
        the symbol tends to sign(l - i), so the off-diagonal part of its action
        tends to M^+(y x).
 
-All symbol values are evaluated in the log domain (nodes kept as k*i*ln q), so
-k = 40 with n in the hundreds never underflows.
+With e_i = k i ln q, P_ij = expit(e_i - e_j), Q_ij = expit(e_j - e_i) and
+W = Q - P, the symbols factor: B1 phi_ijl = 1 - 2 Q_ij P_jl = P_ij + Q_ij W_jl,
+and B2 phi_ijl = 1 - 2 Q_il expit(-e_i) for every j.  So the B1 action is two
+n x n matrix products and the B2 action one.  Each expit is formed from
+exp(-|x|) <= 1: nothing overflows, and a factor that underflows is below
+1e-308, so k = 40 with n in the hundreds is safe although the nodes q^{ki}
+are not.  Q is not formed as 1 - P, so a small factor keeps its relative
+accuracy, and the distance of phi from its limit +-1 needs no cancellation.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadParameter, IndexConstraint, NodeUnderflow, check_count
+from .errors import BadParameter, IndexConstraint, check_count
 from .functions import get_function
 from .matrixnum import marcinkiewicz_norm_from_sv, schatten_norm
-from .schur import (Budget, PointSet, _bilinear, apply_bilinear, diagonal_part,
-                    m_plus, m_plus_symbol, norm_lower_search, row_slabs,
+from .schur import (Budget, PointSet, apply_bilinear, diagonal_part, m_plus,
+                    m_plus_symbol, norm_lower_search, row_slabs,
                     triangular_truncation, truncation_symbol)
 
 
@@ -52,66 +57,67 @@ class GeometricDiscretization:
     def log_q(self) -> float:
         return math.log(self.q)
 
-    def underflow_safe(self) -> bool:
-        return self.k * self.n * math.log2(1.0 / self.q) <= 900.0
 
-    def nodes(self) -> np.ndarray:
-        """Node magnitudes q^{k i}, i = 1..n; only safe when underflow_safe()."""
-        if not self.underflow_safe():
-            raise NodeUnderflow(
-                "node magnitudes underflow for this (q, k, n); use the log-domain symbol")
-        return self.q ** (self.k * np.arange(1, self.n + 1, dtype=float))
-
-    def _check_indices(self, i, j, l):
-        arrs = [np.asarray(v) for v in (i, j, l)]
-        for a in arrs:
-            if np.any(a < 1) or np.any(a > self.n):
-                raise IndexConstraint(f"indices must lie in 1..{self.n}")
-        if self.variant == "B1":
-            if np.any(arrs[0] == arrs[1]) or np.any(arrs[1] == arrs[2]):
-                raise IndexConstraint("B1 requires i != j and j != l")
-        else:
-            if np.any(arrs[0] == arrs[2]):
-                raise IndexConstraint("B2 requires i != l")
+def _expit_pair(x):
+    """(expit(x), expit(-x)) from t = exp(-|x|): no overflow, and neither is
+    formed as 1 minus the other."""
+    x = np.asarray(x, dtype=float)
+    t = np.exp(-np.abs(x))
+    pos = x >= 0
+    return np.where(pos, 1.0, t) / (1.0 + t), np.where(pos, t, 1.0) / (1.0 + t)
 
 
-def _signed_ratio(e_num, num_signs, e_den1, e_den2):
-    """sum_t s_t exp(e_num[t]) / ((exp(e_den1[0])+exp(e_den1[1])) *
-    (exp(e_den2[0])+exp(e_den2[1]))), all in the log domain."""
-    e_num = np.broadcast_arrays(*e_num)
-    u = np.maximum.reduce(e_num)
-    s = sum(sgn * np.exp(e - u) for sgn, e in zip(num_signs, e_num))
-    d1 = np.maximum(e_den1[0], e_den1[1])
-    d2 = np.maximum(e_den2[0], e_den2[1])
-    den = (np.exp(e_den1[0] - d1) + np.exp(e_den1[1] - d1)) \
-        * (np.exp(e_den2[0] - d2) + np.exp(e_den2[1] - d2))
-    return np.exp(u - d1 - d2) * s / den
+def _gaps(d: GeometricDiscretization, i, j):
+    """(P_ij, Q_ij) = (expit(e_i - e_j), expit(e_j - e_i)) at index arrays."""
+    return _expit_pair(d.k * d.log_q * (np.asarray(i, dtype=float) - j))
 
 
-def _phi_values(d: GeometricDiscretization, i, j, l):
-    """Log-domain closed forms of the discretized symbol (no index checks)."""
-    ln_q = d.log_q
-    i = np.asarray(i, dtype=float)
-    j = np.asarray(j, dtype=float)
-    l = np.asarray(l, dtype=float)
-    if d.variant == "B1":
-        # f^[2](e^a, -e^b, e^c) = (e^{a+b} + e^{b+c} + e^{a+c} - e^{2b})
-        #                         / ((e^a + e^b)(e^b + e^c))
-        a, b, c = d.k * i * ln_q, d.k * j * ln_q, d.k * l * ln_q
-        return _signed_ratio([a + b, b + c, a + c, 2 * b], (1, 1, 1, -1),
-                             (a, b), (b, c))
-    # B2: f^[2](e^a, e^b, -e^c) with b = a + c:
-    #     (e^{a+b} + e^{a+c} + e^{b+c} - e^{2c}) / ((e^a + e^c)(e^b + e^c))
-    a, c = d.k * i * ln_q, d.k * l * ln_q
-    b = a + c
-    return _signed_ratio([a + b, a + c, b + c, 2 * c], (1, 1, 1, -1),
-                         (a, c), (b, c))
+def _b2_symbol(d: GeometricDiscretization, i, l):
+    """Phi_il = 1 - 2 Q_il expit(-e_i), the B2 symbol at every j."""
+    return 1.0 - 2.0 * _gaps(d, i, l)[1] * _expit_pair(d.k * d.log_q * i)[1]
+
+
+def _grid(n: int):
+    idx = np.arange(1, n + 1, dtype=float)
+    return idx[:, None], idx[None, :]
+
+
+def _b1_factors(d: GeometricDiscretization):
+    """P and Q with zero diagonals (i == j is inadmissible), and W = Q - P,
+    whose diagonal is 0 since P_jj = Q_jj = 1/2."""
+    P, Q = _gaps(d, *_grid(d.n))
+    W = Q - P
+    np.fill_diagonal(P, 0.0)
+    np.fill_diagonal(Q, 0.0)
+    return P, Q, W
+
+
+def _b2_factor(d: GeometricDiscretization):
+    """Phi with a zero diagonal (i == l is inadmissible)."""
+    i, l = _grid(d.n)
+    return np.where(i != l, _b2_symbol(d, i, l), 0.0)
 
 
 def phi_symbol(d: GeometricDiscretization, i: int, j: int, l: int) -> float:
     """Discretized symbol value at one admissible index triple."""
-    d._check_indices(i, j, l)
-    return float(_phi_values(d, i, j, l))
+    if not all(1 <= v <= d.n for v in (i, j, l)):
+        raise IndexConstraint(f"indices must lie in 1..{d.n}")
+    limit_symbol(d.variant, i, j, l)  # IndexConstraint at an inadmissible triple
+    if d.variant == "B1":
+        p_ij, q_ij = _gaps(d, i, j)
+        p_jl, q_jl = _gaps(d, j, l)
+        return float(p_ij + q_ij * (q_jl - p_jl))
+    return float(_b2_symbol(d, i, l))
+
+
+def phi_action(d: GeometricDiscretization, a, b) -> np.ndarray:
+    """C_il = sum_j phi_ijl a_ij b_jl over the admissible triples, for n x n
+    complex a, b: (a o P) b' + (a o Q)(b o W) for B1, with b' = b minus its
+    diagonal, and Phi o (a b) for B2."""
+    if d.variant == "B1":
+        P, Q, W = _b1_factors(d)
+        return (a * P) @ (b - diagonal_part(b)) + (a * Q) @ (b * W)
+    return _b2_factor(d) * (a @ b)
 
 
 def limit_symbol(variant: str, i: int, j: int, l: int) -> int:
@@ -127,29 +133,20 @@ def limit_symbol(variant: str, i: int, j: int, l: int) -> int:
     raise ValueError(f"variant must be 'B1' or 'B2', got {variant!r}")
 
 
-def phi_slab(d: GeometricDiscretization, r: slice) -> np.ndarray:
-    """Rows r (0-based values of i - 1) of phi_table(d); inadmissible triples
-    are 0."""
-    n = d.n
-    idx = np.arange(1, n + 1, dtype=float)
-    rows = np.arange(n)[r]
-    slab = np.empty((len(rows), n, n))
-    slab[...] = _phi_values(d, idx[r, None, None], idx[None, :, None], idx[None, None, :])
-    k, ar = np.arange(len(rows)), np.arange(n)
-    if d.variant == "B1":
-        slab[k, rows, :] = 0.0  # j == i
-        slab[:, ar, ar] = 0.0   # j == l
-    else:
-        slab[k, :, rows] = 0.0  # i == l
-    return slab
-
-
 def phi_table(d: GeometricDiscretization) -> np.ndarray:
-    """(n, n, n) table of the discretized symbol, filled in row slabs of i;
-    inadmissible triples are 0."""
-    tab = np.empty((d.n,) * 3)
-    for r in row_slabs(d.n):
-        tab[r] = phi_slab(d, r)
+    """(n, n, n) table of the discretized symbol, filled from the factors in
+    row slabs of i; inadmissible triples are 0."""
+    n = d.n
+    tab = np.empty((n,) * 3)
+    if d.variant == "B1":
+        P, Q, W = _b1_factors(d)
+        for r in row_slabs(n):
+            np.multiply(Q[r, :, None], W, out=tab[r])
+            tab[r] += P[r, :, None]
+        ar = np.arange(n)
+        tab[:, ar, ar] = 0.0  # j == l
+    else:
+        tab[...] = _b2_factor(d)[:, None, :]
     return tab
 
 
@@ -183,15 +180,26 @@ class ConvergenceReport:
 
 
 def limit_convergence_report(d: GeometricDiscretization, n: int = None) -> ConvergenceReport:
-    """Max |phi_symbol - limit_symbol| over all admissible triples with indices <= n."""
+    """Max |phi_symbol - limit_symbol| over all admissible triples with indices <= n,
+    each distance taken from the factors without cancellation."""
     n = d.n if n is None else min(n, d.n)
     dd = GeometricDiscretization(d.q, d.k, d.variant, n)
-    phi = phi_table(dd)
-    lim = limit_table(d.variant, n)
-    disc = float(np.max(np.abs(phi - lim) * (lim != 0)))
+    if d.variant == "B1":
+        # |phi - 1| = 2 Q_ij Q_lj and |phi + 1| = 2 (P_ij + P_lj - P_ij P_lj);
+        # the zero diagonals of P and Q give 0 at the inadmissible triples
+        P, Q, _ = _b1_factors(dd)
+        pi, pl = P[:, :, None], P.T[None]
+        dist = np.where(limit_table("B1", n) < 0, 2.0 * (pi + pl - pi * pl),
+                        2.0 * Q[:, :, None] * Q.T[None])
+    else:
+        # |phi - 1| = 2 Q_il expit(-e_i) for l > i, |phi + 1| = 2 (P_il + Q_il expit(e_i))
+        i, l = _grid(n)
+        P, Q = _gaps(dd, i, l)
+        up, down = _expit_pair(d.k * d.log_q * i)
+        dist = np.where(l > i, 2.0 * Q * down, np.where(l < i, 2.0 * (P + Q * up), 0.0))
     # leading correction: 2 q^{k(i-j)} + 2 q^{k(l-j)} for B1 (worst i = l = j+1),
     # 2 q^{k|l-i|} for B2; both bounded by 4 q^k.
-    return ConvergenceReport(d.variant, d.q, d.k, n, disc, 4.0 * d.q ** d.k)
+    return ConvergenceReport(d.variant, d.q, d.k, n, float(np.max(dist)), 4.0 * d.q ** d.k)
 
 
 def volterra_matrix(n: int) -> np.ndarray:
@@ -262,9 +270,7 @@ def theorem_b1_experiment(p: float, n: int, d: GeometricDiscretization,
     x = search.witness[0]
     xo = x - diagonal_part(x)          # (1 - P) x
     y = xo.conj().T                    # (1 - P) x^*
-    # the table serves one action: its slabs are made as the action reads them
-    slabs = functools.partial(phi_slab, GeometricDiscretization(d.q, d.k, "B1", n))
-    direct = schatten_norm(_bilinear(slabs, y, xo), p)
+    direct = schatten_norm(phi_action(GeometricDiscretization(d.q, d.k, "B1", n), y, xo), p)
     denom = schatten_norm(xo, 2 * p) ** 2
     factorized = schatten_norm(
         y @ xo - 2.0 * triangular_truncation(y, X, "-") @ triangular_truncation(xo, X, "+"),
@@ -304,9 +310,8 @@ def theorem_b2_experiment(p: float, n: int, d: GeometricDiscretization,
     z = z / schatten_norm(z, p)
     mplus_value = schatten_norm(m_plus(z, X), p)
     y, x = holder_split(z, p)
-    slabs = functools.partial(phi_slab, GeometricDiscretization(d.q, d.k, "B2", n))
-    out = _bilinear(slabs, y, x)
-    direct = schatten_norm(out - diagonal_part(out), p)
+    # Phi has a zero diagonal: the action is already off-diagonal
+    direct = schatten_norm(phi_action(GeometricDiscretization(d.q, d.k, "B2", n), y, x), p)
     denom = schatten_norm(y, 2 * p) * schatten_norm(x, 2 * p)
     return B2Report(p=float(p), n=n, q=d.q, k=d.k, seed=budget.seed,
                     mu=search.ratio,

@@ -27,8 +27,7 @@ The bilinear action and its two adjoints are evaluated in slabs of
 SLAB_ROWS leading indices, so no n^3 temporary is built.  The action makes
 no BLAS call, so its results do not depend on the BLAS thread count; the
 first adjoint runs one BLAS matrix-vector product per slab row, and only
-inside the search.  The action reads its table one slab at a time, so a
-caller can also hand it slabs computed on demand.
+inside the search.
 
 The search runs its jobs on a thread pool, by default from n = POOL_MIN_N on,
 with the bundled OpenBLAS pinned to one thread (restored afterwards); each
@@ -181,12 +180,11 @@ def row_slabs(n: int):
 # that einsum's bitwise, Fortran order included, with neither its path
 # planning nor its n^3 temporary.
 
-def _bilinear(slab, a, b):
-    """C_il = sum_j t_ijl a_ij b_jl, in slabs of i; slab(r) returns t[r]
-    (``t.__getitem__`` for a stored table)."""
+def _bilinear(t, a, b):
+    """C_il = sum_j t_ijl a_ij b_jl, in slabs of i."""
     out = np.empty(a.shape, dtype=complex, order="F")
     for r in row_slabs(len(a)):
-        out[r] = np.einsum("ijl,jl->il", a[r, :, None] * slab(r), b)
+        out[r] = np.einsum("ijl,jl->il", a[r, :, None] * t[r], b)
     return out
 
 
@@ -216,7 +214,7 @@ def apply_linear(m, X: PointSet, a) -> np.ndarray:
 
 def apply_bilinear(m, X: PointSet, a, b) -> np.ndarray:
     a, b = _square(a, X.n), _square(b, X.n)
-    return _bilinear(_table_of(m, X, 3).__getitem__, a, b)
+    return _bilinear(_table_of(m, X, 3), a, b)
 
 
 def triangular_truncation(a, X: PointSet, sign: str) -> np.ndarray:
@@ -358,7 +356,7 @@ def _ascend(t: np.ndarray, tc: np.ndarray, starts, qs, p: float, iterations: int
         adjoints = (lambda d, a: d * tc,)
     else:
         def forward(a):
-            return _bilinear(t.__getitem__, a[0], a[1])
+            return _bilinear(t, a[0], a[1])
         adjoints = (lambda d, a: _bilinear_adjoint_first(d, tc, np.conj(a[1])),
                     lambda d, a: _bilinear_adjoint_second(d, tc, np.conj(a[0])))
 

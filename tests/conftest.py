@@ -4,7 +4,9 @@ Two independent reference implementations of the divided-difference recursion:
 an exact-rational one (Fraction arithmetic, for polynomial kernels and s|s| at
 rational nodes) and an extended-precision one (mpmath at >= 40 digits, for the
 transcendental functions).  Both follow the bare textbook recursion with exact
-equality tests and are kept independent of the production path.
+equality tests and are kept independent of the production path.  ``mp_phi``
+runs the mpmath recursion on the geometric B1/B2 nodes, whose magnitudes span
+thousands of decades, with enough digits to cover the span.
 
 The dense exponential sums are the references for the quadrant factorization
 transform, which production computes by Bluestein's chirp-z algorithm, and for
@@ -12,6 +14,7 @@ the phase sums of the reconstruction and the kernel, which production splits
 into coarse and fine tables.
 """
 
+import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -53,6 +56,25 @@ def mp_divdiff(fname, nodes, dps=40):
             return (rec(za) - rec(zb)) / (zs[b] - zs[a])
 
         return float(rec(xs))
+
+
+def mp_phi(q, k, variant, i, j, l, dps=60, as_float=True):
+    """The geometric B1/B2 symbol by the bare three-point recursion for s|s|
+    at the nodes (q^{ki}, -q^{kj}, q^{kl}) (B1) or (q^{ki}, q^{k(i+l)},
+    -q^{kl}) (B2), to dps significant digits.  The working precision also
+    spans the ratio of the largest to the smallest node, which the
+    recursion's differences cancel."""
+    powers = (i, j, l) if variant == "B1" else (i, i + l, l)
+    span = k * (max(powers) - min(powers)) * math.log10(1.0 / q)
+    with mp.workdps(dps + int(span) + 1):
+        x = [mp.mpf(q) ** (k * m) for m in powers]
+        # x0 != x2 in this order; B1 has x0 == x1 when i == l
+        x0, x1, x2 = (x[0], x[2], -x[1]) if variant == "B1" else (x[0], x[1], -x[2])
+        f = MP_FUNCS["abs2"]
+        d01 = (f(x0) - f(x1)) / (x0 - x1) if x0 != x1 else 2 * abs(x0)
+        d12 = (f(x1) - f(x2)) / (x1 - x2)
+        value = (d01 - d12) / (x0 - x2)
+        return float(value) if as_float else value
 
 
 def rational_divdiff(f, nodes, fprime=None):

@@ -610,7 +610,7 @@ def _kernel_pairs(t, a, b, d):
     """(slab kernel result, einsum reference) for the action and both adjoints."""
     tc, ac, bc = np.conj(t), np.conj(a), np.conj(b)
     return [
-        (schur._bilinear(t.__getitem__, a, b),
+        (schur._bilinear(t, a, b),
          np.einsum("ijl,ij,jl->il", t, a, b, optimize=True)),
         (schur._bilinear_adjoint_first(d, tc, bc),
          np.einsum("il,ijl,jl->ij", d, tc, bc, optimize=True)),
