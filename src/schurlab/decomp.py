@@ -122,10 +122,6 @@ class SectorPartition:
         """theta_j as a function of the angle."""
         return self.thetas(phi)[_check_sector(j) - 1]
 
-    def support_bound(self) -> float:
-        """Recorded bound for sup |theta_j * psi_j| over the support."""
-        return 1.0 / math.sin(2.0 * self.epsilon) + 1.0
-
 
 def theta(j: int, xi, P: SectorPartition) -> float:
     """theta_j at a nonzero point of R^2."""

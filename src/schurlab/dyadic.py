@@ -24,7 +24,6 @@ slot with a trace.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, Tuple
@@ -322,33 +321,6 @@ def trace_pairing(f: StepFunction, g: StepFunction) -> complex:
     return complex(vals)
 
 
-def spec_to_json(S: ShiftSpec) -> dict:
-    """JSON-friendly form: complexity, j0, scale window, and a sparse
-    coefficient list keyed by cube coordinates (scale, start)."""
-    return {
-        "k_min": S.system.k_min,
-        "k_max": S.system.k_max,
-        "omega": list(S.system.omega),
-        "complexity": list(S.complexity),
-        "j0": S.j0,
-        "coefficients": [
-            {"Q": [q.scale, q.start], "I1": [i1.scale, i1.start],
-             "I2": [i2.scale, i2.start], "I3": [i3.scale, i3.start],
-             "re": float(np.real(a)), "im": float(np.imag(a))}
-            for (q, i1, i2, i3), a in S.coefficients.items()
-        ],
-    }
-
-
-def spec_from_json(data: dict) -> ShiftSpec:
-    D = DyadicSystem(data["k_min"], data["k_max"], tuple(data.get("omega", ())))
-    coeffs = {}
-    for entry in data["coefficients"]:
-        key = tuple(Cube(*entry[name]) for name in ("Q", "I1", "I2", "I3"))
-        coeffs[key] = entry["re"] + 1j * entry["im"]
-    return ShiftSpec(D, tuple(data["complexity"]), data["j0"], coeffs)
-
-
 def rotate_spec(S: ShiftSpec) -> ShiftSpec:
     """Cyclic slot renumbering (I1,I2,I3) -> (I3,I1,I2); the trilinear forms
     satisfy Lambda(f1,f2,f3) = Lambda_rotated(f3,f1,f2) exactly."""
@@ -380,13 +352,6 @@ def random_admissible_spec(D: DyadicSystem, complexity, j0: int,
             r = _coefficient_bound(D, key) * math.sqrt(rng.uniform())
             coeffs[key] = r * np.exp(2j * math.pi * rng.uniform())
     return ShiftSpec(D, complexity, j0, coeffs)
-
-
-def dense_extremal_spec(D: DyadicSystem, complexity, j0: int, q: Cube) -> ShiftSpec:
-    """All admissible (I1, I2, I3) under one cube, every coefficient at the
-    bound; the regrouped-coefficient check is tight on this spec."""
-    keys = itertools.product([q], *(D.subcubes(q, k) for k in complexity))
-    return ShiftSpec(D, complexity, j0, {key: _coefficient_bound(D, key) for key in keys})
 
 
 # ----------------------------------------------------------------------------

@@ -27,8 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .divdiff import divdiff_two_var_grid
-from .errors import (BadExponent, BadParameter, DiagonalMargin, OrderUnsupported,
-                     check_count)
+from .errors import BadParameter, DiagonalMargin, OrderUnsupported, check_count
 from .functions import KIND_GENERALIZED_ABS, ScalarFunction, sup_deriv
 
 _FD_STEP = 1e-6  # central-difference step of partials without a closed form
@@ -68,7 +67,6 @@ class TwoVariableSymbol:
     partial_lam: Callable
     partial_mu: Callable
     mask: Optional[Callable] = None
-    name: str = ""
 
 
 def symbol_from_divdiff(f: ScalarFunction, n: int, k: int) -> TwoVariableSymbol:
@@ -95,23 +93,7 @@ def symbol_from_divdiff(f: ScalarFunction, n: int, k: int) -> TwoVariableSymbol:
         def partial_mu(lam, mu):
             return (value(lam, mu + _FD_STEP) - value(lam, mu - _FD_STEP)) / (2 * _FD_STEP)
 
-    return TwoVariableSymbol(value, partial_lam, partial_mu,
-                             name=f"divdiff[{f.name},n={n},k={k}]")
-
-
-def signed_symbol(sym: TwoVariableSymbol) -> TwoVariableSymbol:
-    """Multiply a symbol by sign(mu - lam) (sign(0) = 1), off-diagonal partials
-    scaling accordingly."""
-    def eps(lam, mu):
-        return np.where(np.asarray(mu) - np.asarray(lam) >= 0, 1.0, -1.0)
-
-    return TwoVariableSymbol(
-        value=lambda lam, mu: eps(lam, mu) * sym.value(lam, mu),
-        partial_lam=lambda lam, mu: eps(lam, mu) * sym.partial_lam(lam, mu),
-        partial_mu=lambda lam, mu: eps(lam, mu) * sym.partial_mu(lam, mu),
-        mask=sym.mask,
-        name=f"sign*{sym.name}",
-    )
+    return TwoVariableSymbol(value, partial_lam, partial_mu)
 
 
 def make_ks_symbol(s: float, sigma: int = 1) -> TwoVariableSymbol:
@@ -134,8 +116,7 @@ def make_ks_symbol(s: float, sigma: int = 1) -> TwoVariableSymbol:
         gap = np.asarray(mu) - np.asarray(lam)
         return value(lam, mu) * (1j * s) / gap
 
-    return TwoVariableSymbol(value, partial_lam, partial_mu, mask=mask,
-                             name=f"k_s[s={s},sigma={sigma:+d}]")
+    return TwoVariableSymbol(value, partial_lam, partial_mu, mask=mask)
 
 
 @dataclass
@@ -201,10 +182,3 @@ def lemma43_check(n: int, k: int, gamma: int, f: ScalarFunction, samples: int = 
     else:
         lhs = np.abs(lam - mu) * np.abs(k * divdiff_two_var_grid(f, n + 1, k + 1, lam, mu))
     return float(np.max(lhs - rhs))
-
-
-def pp_star_factor(p: float) -> float:
-    """The multiplier growth factor p p* from the imported linear theorem."""
-    if not 1 < p < np.inf:
-        raise BadExponent(f"need p in (1, inf), got {p}")
-    return p * p / (p - 1.0)

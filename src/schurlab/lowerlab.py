@@ -185,12 +185,14 @@ def limit_convergence_report(d: GeometricDiscretization, n: int = None) -> Conve
     n = d.n if n is None else min(n, d.n)
     dd = GeometricDiscretization(d.q, d.k, d.variant, n)
     if d.variant == "B1":
-        # |phi - 1| = 2 Q_ij Q_lj and |phi + 1| = 2 (P_ij + P_lj - P_ij P_lj);
-        # the zero diagonals of P and Q give 0 at the inadmissible triples
+        # per column j: |phi + 1| = 2 (P_ij + P_lj - P_ij P_lj) over i, l > j
+        # and |phi - 1| = 2 Q_ij Q_lj over i < j or l < j; both grow with
+        # their factors, so their maxima sit at the column maxima of P and Q
+        # (the zero diagonal of Q drops i == j and l == j)
         P, Q, _ = _b1_factors(dd)
-        pi, pl = P[:, :, None], P.T[None]
-        dist = np.where(limit_table("B1", n) < 0, 2.0 * (pi + pl - pi * pl),
-                        2.0 * Q[:, :, None] * Q.T[None])
+        a = np.max(np.tril(P, -1), axis=0)
+        dist = np.maximum(2.0 * (a + a - a * a),
+                          2.0 * np.max(np.triu(Q, 1), axis=0) * np.max(Q, axis=0))
     else:
         # |phi - 1| = 2 Q_il expit(-e_i) for l > i, |phi + 1| = 2 (P_il + Q_il expit(e_i))
         i, l = _grid(n)

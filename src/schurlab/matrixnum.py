@@ -77,17 +77,6 @@ def marcinkiewicz_norm(a) -> float:
     return marcinkiewicz_norm_from_sv(singular_values(a))
 
 
-def cumulative_singular_integral(s: np.ndarray, t: float) -> float:
-    """integral_0^t mu of the step function with values s (piecewise linear)."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    full = int(math.floor(t))
-    out = float(np.sum(s[:min(full, len(s))]))
-    if full < len(s):
-        out += float(s[full]) * (t - full)
-    return out
-
-
 def holder_split(z, p: float):
     """Factor z = y @ x with ||z||_p = ||y||_2p * ||x||_2p via the polar parts.
 
@@ -106,13 +95,6 @@ def holder_split(z, p: float):
     y = (u * root) @ vh
     x = (vh.conj().T * root) @ vh
     return y, x
-
-
-def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish unitary from the QR factorization of a complex Gaussian."""
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def write_matrix(path, a):

@@ -51,7 +51,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BadBudget, BadExponent, DimensionMismatch, check_count
-from .matrixnum import as_matrix, schatten_norm_from_sv
+from .matrixnum import as_matrix, schatten_norm, schatten_norm_from_sv
 
 _TINY = 1e-300
 
@@ -89,54 +89,45 @@ class PointSet:
 class DiscreteSymbol:
     """Coefficient function over label pairs (arity 2) or triples (arity 3).
 
-    ``coeff`` must broadcast over numpy label arrays.  The table of the latest
-    point set is cached, in the dtype of the values ``coeff`` returns.  A
-    tabulated symbol needs no wrapper: every entry point takes the array.
+    ``coeff`` must broadcast over numpy label arrays; a table keeps the dtype
+    of the values ``coeff`` returns.  A tabulated symbol needs no wrapper:
+    every entry point takes the array.
     """
 
-    def __init__(self, arity: int, coeff: Callable, name: str = ""):
+    def __init__(self, arity: int, coeff: Callable):
         if arity not in (2, 3):
             raise ValueError(f"arity must be 2 or 3, got {arity}")
         self.arity = arity
         self.coeff = coeff
-        self.name = name
-        self._last = (None, None)  # (point set, table) of the latest build
 
     def table(self, X: PointSet) -> np.ndarray:
-        last, tab = self._last
-        if last != X:
-            v = X.values
-            grids = ((v[:, None], v[None, :]) if self.arity == 2
-                     else (v[:, None, None], v[None, :, None], v[None, None, :]))
-            tab = np.asarray(self.coeff(*grids))
-            tab = np.broadcast_to(tab, (X.n,) * self.arity).copy()
-            self._last = (X, tab)
-        return tab
-
-    def sup_bound(self, X: PointSet) -> float:
-        return float(np.max(np.abs(self.table(X))))
+        v = X.values
+        grids = ((v[:, None], v[None, :]) if self.arity == 2
+                 else (v[:, None, None], v[None, :, None], v[None, None, :]))
+        tab = np.asarray(self.coeff(*grids))
+        return np.broadcast_to(tab, (X.n,) * self.arity).copy()
 
 
 def ones_symbol(arity: int) -> DiscreteSymbol:
-    return DiscreteSymbol(arity, lambda *a: np.ones(np.broadcast(*a).shape), name="ones")
+    return DiscreteSymbol(arity, lambda *a: np.ones(np.broadcast(*a).shape))
 
 
 def diagonal_symbol() -> DiscreteSymbol:
-    return DiscreteSymbol(2, lambda lam, mu: (lam == mu).astype(float), name="diag")
+    return DiscreteSymbol(2, lambda lam, mu: (lam == mu).astype(float))
 
 
 def truncation_symbol(sign: str) -> DiscreteSymbol:
     """h_+(lam - mu) keeps lam < mu (strictly upper); h_- keeps lam > mu."""
     if sign == "+":
-        return DiscreteSymbol(2, lambda lam, mu: (lam < mu).astype(float), name="t_plus")
+        return DiscreteSymbol(2, lambda lam, mu: (lam < mu).astype(float))
     if sign == "-":
-        return DiscreteSymbol(2, lambda lam, mu: (lam > mu).astype(float), name="t_minus")
+        return DiscreteSymbol(2, lambda lam, mu: (lam > mu).astype(float))
     raise ValueError(f"sign must be '+' or '-', got {sign!r}")
 
 
 def m_plus_symbol() -> DiscreteSymbol:
     """sign(mu - lam) with 0 on the diagonal: T+ minus T-."""
-    return DiscreteSymbol(2, lambda lam, mu: np.sign(mu - lam), name="m_plus")
+    return DiscreteSymbol(2, lambda lam, mu: np.sign(mu - lam))
 
 
 def _table_of(m, X: PointSet, arity: int) -> np.ndarray:
@@ -287,10 +278,6 @@ def _subgradient(z: np.ndarray, p: float):
     return _svd_subgradient(z, p)
 
 
-def _svd_schatten(z: np.ndarray, p: float) -> float:
-    return schatten_norm_from_sv(np.linalg.svd(z, compute_uv=False), p)
-
-
 def _schatten(z: np.ndarray, p: float) -> float:
     """||Z||_p; for even p, tr G^k is the squared Frobenius norm of G^(k/2)
     (k even) or Y G^((k-1)/2) (k odd)."""
@@ -306,7 +293,7 @@ def _schatten(z: np.ndarray, p: float) -> float:
         t = float(np.vdot(w, w).real)  # tr G^k
         if _TINY < t < np.inf:
             return f * t ** (1.0 / p)
-    return _svd_schatten(z, p)
+    return schatten_norm(z, p)
 
 
 def _normalize(x: np.ndarray, p: float) -> np.ndarray:
@@ -319,18 +306,18 @@ def _normalize(x: np.ndarray, p: float) -> np.ndarray:
 def linear_ratio(m, X: PointSet, x, p: float) -> float:
     """Achieved ratio ||M_m(x)||_p / ||x||_p for a single candidate."""
     x = as_matrix(x)
-    denom = _svd_schatten(x, p)
+    denom = schatten_norm(x, p)
     if denom == 0.0:
         return 0.0
-    return _svd_schatten(apply_linear(m, X, x), p) / denom
+    return schatten_norm(apply_linear(m, X, x), p) / denom
 
 
 def bilinear_ratio(m, X: PointSet, x, y, p1: float, p2: float, p: float) -> float:
     x, y = as_matrix(x), as_matrix(y)
-    dx, dy = _svd_schatten(x, p1), _svd_schatten(y, p2)
+    dx, dy = schatten_norm(x, p1), schatten_norm(y, p2)
     if dx == 0.0 or dy == 0.0:
         return 0.0
-    return _svd_schatten(apply_bilinear(m, X, x, y), p) / (dx * dy)
+    return schatten_norm(apply_bilinear(m, X, x, y), p) / (dx * dy)
 
 
 def _ascend(t: np.ndarray, tc: np.ndarray, starts, qs, p: float, iterations: int):
@@ -394,7 +381,7 @@ def _ascend(t: np.ndarray, tc: np.ndarray, starts, qs, p: float, iterations: int
     if norm > best:
         best, best_args = norm, tuple(args)
     if _even_half(p):  # re-certify the Gram-path value by one SVD
-        best = _svd_schatten(forward(best_args), p)
+        best = schatten_norm(forward(best_args), p)
     return best, best_args
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -38,7 +38,6 @@ class HomogeneousSymbol:
 
     profile: Callable  # theta (array ok) -> complex value
     parity: str = "none"  # even | odd | none
-    name: str = ""
 
     def __post_init__(self):
         if self.parity not in ("even", "odd", "none"):
@@ -64,13 +63,13 @@ def harmonic_symbol(k: int, real: bool = False) -> HomogeneousSymbol:
     """e^{ik theta}, or its real form cos(k theta)."""
     parity = "even" if k % 2 == 0 else "odd"
     if real:
-        return HomogeneousSymbol(lambda th: np.cos(k * th), parity, name=f"cos{k}")
-    return HomogeneousSymbol(lambda th: np.exp(1j * k * th), parity, name=f"e{k}")
+        return HomogeneousSymbol(lambda th: np.cos(k * th), parity)
+    return HomogeneousSymbol(lambda th: np.exp(1j * k * th), parity)
 
 
 def sine_symbol(k: int) -> HomogeneousSymbol:
     parity = "even" if k % 2 == 0 else "odd"
-    return HomogeneousSymbol(lambda th: np.sin(k * th), parity, name=f"sin{k}")
+    return HomogeneousSymbol(lambda th: np.sin(k * th), parity)
 
 
 def bump_symbol(arc=(math.pi / 8, 3 * math.pi / 8), width: float = None) -> HomogeneousSymbol:
@@ -86,21 +85,7 @@ def bump_symbol(arc=(math.pi / 8, 3 * math.pi / 8), width: float = None) -> Homo
         th = np.mod(np.asarray(th, dtype=float), TWO_PI)
         return smoothstep((th - a) / width) * smoothstep((b - th) / width)
 
-    return HomogeneousSymbol(profile, "none", name="bump")
-
-
-def profile_from_table(thetas: Sequence[float], values: Sequence[float]) -> Callable:
-    """Periodic cubic interpolation of tabulated (theta, rho) samples."""
-    from scipy.interpolate import CubicSpline
-
-    thetas = np.asarray(thetas, dtype=float)
-    values = np.asarray(values)
-    if thetas[0] != 0.0 or not np.all(np.diff(thetas) > 0):
-        raise ValueError("thetas must start at 0 and increase")
-    th = np.append(thetas, TWO_PI)
-    vals = np.append(values, values[0])
-    spline = CubicSpline(th, vals, bc_type="periodic")
-    return lambda t: spline(np.mod(t, TWO_PI))
+    return HomogeneousSymbol(profile, "none")
 
 
 @dataclass
@@ -332,7 +317,7 @@ def a_base_profile(P: SectorPartition, which: int, sigma: int) -> HomogeneousSym
         mask = _quadrant_mask(th, -sigma, sigma)
         return np.where(mask, P.theta_of_angle(sector, th) * factor, 0.0)
 
-    return HomogeneousSymbol(profile, "none", name=f"a{which}[{sigma:+d}]")
+    return HomogeneousSymbol(profile, "none")
 
 
 def corollary52_constants(P: SectorPartition, which: int, S: float = 40.0,

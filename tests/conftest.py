@@ -128,6 +128,15 @@ def rng():
     return np.random.default_rng(20240811)
 
 
+def cumulative_singular_integral(s, t):
+    """integral_0^t mu of the step function with values s (piecewise linear)."""
+    full = int(math.floor(t))
+    out = float(np.sum(s[:min(full, len(s))]))
+    if full < len(s):
+        out += float(s[full]) * (t - full)
+    return out
+
+
 def random_unitary(n, rng):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(g)

@@ -94,7 +94,7 @@ def test_psi_values_and_poles():
 def test_bounded_extension(P, rng):
     # sup over off-diagonal triples of |theta_j psi_j| stays under the
     # recorded epsilon bound
-    bound = P.support_bound()
+    bound = 1.0 / math.sin(2.0 * P.epsilon) + 1.0
     worst = 0.0
     for t in random_triples(rng, 4000):
         xi = (t[1] - t[0], t[2] - t[1])

@@ -5,7 +5,7 @@ from schurlab.errors import DiagonalMargin, OrderUnsupported
 from schurlab.functions import get_function
 from schurlab.hms import (GridSpec, TwoVariableSymbol, hms_norm,
                           hms_theorem_bound, lemma43_check, make_ks_symbol,
-                          pp_star_factor, signed_symbol, symbol_from_divdiff)
+                          symbol_from_divdiff)
 
 
 def test_constant_symbol():
@@ -48,14 +48,6 @@ def test_grid_refinement_monotone():
     fine = hms_norm(sym, GridSpec(points=256)).value
     finer = hms_norm(sym, GridSpec(points=512)).value
     assert coarse <= fine + 1e-12 <= finer + 2e-12
-
-
-def test_signed_symbol_same_norm():
-    for name in ("sin", "exp", "cube"):
-        sym = symbol_from_divdiff(get_function(name), 2, 1)
-        a = hms_norm(sym, GridSpec(points=128))
-        b = hms_norm(signed_symbol(sym), GridSpec(points=128))
-        assert abs(a.value - b.value) <= 1e-12
 
 
 def test_partials_match_finite_differences(rng):
@@ -102,8 +94,3 @@ def test_margin_validation():
         GridSpec(margin=0.0)
     with pytest.raises(OrderUnsupported):
         hms_theorem_bound(0, 1, get_function("sin"))
-
-
-def test_pp_star_factor():
-    assert pp_star_factor(2.0) == pytest.approx(4.0)
-    assert pp_star_factor(4.0) == pytest.approx(16.0 / 3.0)

@@ -117,6 +117,22 @@ def test_limit_convergence_matches_oracle(variant, q, k, n):
         assert rep.max_discrepancy < rep.exponent_gap_bound
 
 
+def _n3_b1_discrepancy(d):
+    """The B1 report's maximum from the whole (n, n, n) distance array."""
+    P, Q, _ = lowerlab._b1_factors(d)
+    pi, pl = P[:, :, None], P.T[None]
+    dist = np.where(limit_table("B1", d.n) < 0, 2.0 * (pi + pl - pi * pl),
+                    2.0 * Q[:, :, None] * Q.T[None])
+    return float(np.max(dist))
+
+
+@pytest.mark.parametrize("q", [0.5, 0.8, 0.99])
+@pytest.mark.parametrize("k, n", [(1, 2), (3, 5), (40, 6), (1, 33), (40, 128)])
+def test_b1_limit_report_matches_n3_reference(q, k, n):
+    d = GeometricDiscretization(q, k, "B1", n)
+    assert limit_convergence_report(d).max_discrepancy == _n3_b1_discrepancy(d)
+
+
 def test_limit_convergence_doubling_squares():
     # away from the float floor, doubling k at least squares the discrepancy
     for variant in ("B1", "B2"):
@@ -370,6 +386,9 @@ def test_n3_builds_hold_no_n3_temporaries():
     d = GeometricDiscretization(0.5, 40, "B1", 128)
     assert _traced_peak_mb(lambda: theorem_b1_experiment(16, 128, d, Budget(1, 10),
                                                          threads=1)) < 12
+    # the B1 limit report takes column maxima of P and Q: it peaked at 50.5 MB
+    # with its n^3 distance arrays
+    assert _traced_peak_mb(lambda: limit_convergence_report(d)) < 2
 
 
 def test_action_on_real_table_makes_no_complex_copy():

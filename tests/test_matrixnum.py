@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from schurlab.errors import BadExponent, DimensionMismatch
-from schurlab.matrixnum import (cumulative_singular_integral,
-                                decreasing_rearrangement, holder_split,
+from schurlab.matrixnum import (decreasing_rearrangement, holder_split,
                                 marcinkiewicz_norm, read_matrix, schatten_norm,
                                 schatten_norm_from_sv, singular_values,
                                 write_matrix)
 
-from conftest import random_unitary
+from conftest import cumulative_singular_integral, random_unitary
 
 
 def test_singular_values_examples():

@@ -150,7 +150,7 @@ def test_s2_exactness_via_matrix_unit(rng):
     i, k = np.unravel_index(np.argmax(np.abs(tab)), tab.shape)
     unit = np.zeros((8, 8), dtype=complex)
     unit[i, k] = 1.0
-    assert linear_ratio(sym, X, unit, 2.0) == pytest.approx(sym.sup_bound(X), rel=1e-14)
+    assert linear_ratio(sym, X, unit, 2.0) == pytest.approx(np.max(np.abs(tab)), rel=1e-14)
 
 
 def test_bilinear_s2_bound_222(rng):
@@ -358,7 +358,7 @@ def test_gram_path_certified_by_svd(rng):
     X = PointSet.integers(10)
     res = norm_lower_search("linear", m_plus_symbol(), X, 8.0, Budget(3, 15, 2))
     (x,) = res.witness
-    assert res.ratio == schur._svd_schatten(m_plus(x, X), 8.0)
+    assert res.ratio == schatten_norm(m_plus(x, X), 8.0)
     assert linear_ratio(m_plus_symbol(), X, x, 8.0) == pytest.approx(res.ratio, rel=1e-13)
 
 
@@ -556,16 +556,6 @@ def test_seeds_are_validated_for_both_kinds():
     res = norm_lower_search("bilinear", ones_symbol(3), X, (4.0, 4.0, 2.0),
                             Budget(0, 3, 0), seeds=[(good, good)])
     assert res.ratio == pytest.approx(1.0)
-
-
-def test_symbol_table_cache_keeps_the_latest_point_set():
-    sym = DiscreteSymbol(3, lambda a, b, c: a + b * c)
-    X, Y = PointSet.integers(4), PointSet.integers(5)
-    first = sym.table(X)
-    assert sym.table(PointSet.integers(4)) is first
-    assert sym.table(Y).shape == (5, 5, 5)
-    again = sym.table(X)
-    assert again is not first and np.array_equal(again, first)
 
 
 def test_tabulated_symbol():

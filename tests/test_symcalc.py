@@ -12,9 +12,8 @@ from schurlab.symcalc import (TWO_PI, HomogeneousSymbol, _phase_sum, _uniform_tr
                               a_base_profile, bump_symbol,
                               circle_fourier_coeffs, coeff_tail_bound,
                               corollary52_constants, harmonic_symbol,
-                              kernel_eval, kernel_gradient, profile_from_table,
-                              s1_factorize, sine_symbol,
-                              size_smoothness_check)
+                              kernel_eval, kernel_gradient, s1_factorize,
+                              sine_symbol, size_smoothness_check)
 
 from conftest import dense_phase_sum, dense_uniform_transform
 
@@ -244,15 +243,6 @@ def test_a_base_profiles_live_in_their_quadrant():
         vals = np.asarray(prof.profile(th))
         outside = ~((np.cos(th) < 0) & (np.sin(th) > 0))
         assert np.max(np.abs(vals[outside])) == 0.0
-
-
-def test_profile_from_table_roundtrip():
-    th = np.linspace(0, 2 * math.pi, 256, endpoint=False)
-    vals = np.cos(3 * th) + 0.5 * np.sin(th)
-    prof = profile_from_table(th, vals)
-    fine = np.linspace(0, 2 * math.pi, 1000, endpoint=False)
-    ref = np.cos(3 * fine) + 0.5 * np.sin(fine)
-    assert np.max(np.abs(prof(fine) - ref)) <= 1e-6
 
 
 @pytest.mark.parametrize("N", [2, 3, 7, 4096, 4097])
