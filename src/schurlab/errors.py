@@ -92,5 +92,6 @@ class BadGrid(SchurLabError):
 
 class BadParameter(SchurLabError, ValueError):
     """A model parameter outside its admissible range: a divided-difference
-    slot k, a discretization ratio q, a sector overlap epsilon or a dyadic
-    scale range.  Also a ValueError, as these checks raised before."""
+    slot k, a discretization ratio q, a sector overlap epsilon, a dyadic
+    scale range or the labels of a point set.  Also a ValueError, as these
+    checks raised before."""

@@ -21,6 +21,17 @@ exp(-|x|) <= 1: nothing overflows, and a factor that underflows is below
 1e-308, so k = 40 with n in the hundreds is safe although the nodes q^{ki}
 are not.  Q is not formed as 1 - P, so a small factor keeps its relative
 accuracy, and the distance of phi from its limit +-1 needs no cancellation.
+
+The extrapolation experiment applies f^[2] for f(t) = t|t| on sorted labels,
+negative ones first.  On three nodes of one sign s, f^[2] = s.  Otherwise,
+with m the majority sign and z the node of the other sign,
+
+    f^[2](x, y, z) = m (1 - 2 R_xz R_yz),    R_xz = z / (x - z) in (-1, 0),
+
+so no step cancels, and the action is a sum of GEMMs of the sign-half blocks
+of a, b and R: one per sign pattern of (i, j, l), and one more per mixed
+pattern for its correction term.  As in the f^[2] table, the full diagonal
+i = j = l contributes 0.
 """
 
 from __future__ import annotations
@@ -31,11 +42,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadParameter, IndexConstraint, check_count
-from .functions import get_function
 from .matrixnum import marcinkiewicz_norm_from_sv, schatten_norm
-from .schur import (Budget, PointSet, apply_bilinear, diagonal_part, m_plus,
-                    m_plus_symbol, norm_lower_search, row_slabs,
-                    triangular_truncation, truncation_symbol)
+from .schur import (Budget, PointSet, diagonal_part, m_plus, m_plus_symbol,
+                    norm_lower_search, row_slabs, triangular_truncation,
+                    truncation_symbol)
+
+
+def _check_q(q: float):
+    if not 0.0 < q < 1.0:  # also rejects NaN
+        raise BadParameter(f"q must lie in (0,1), got {q}")
 
 
 @dataclass(frozen=True)
@@ -46,8 +61,7 @@ class GeometricDiscretization:
     n: int
 
     def __post_init__(self):
-        if not 0.0 < self.q < 1.0:
-            raise BadParameter(f"q must lie in (0,1), got {self.q}")
+        _check_q(self.q)
         check_count("k", self.k)
         check_count("n", self.n)
         if self.variant not in ("B1", "B2"):
@@ -118,6 +132,27 @@ def phi_action(d: GeometricDiscretization, a, b) -> np.ndarray:
         P, Q, W = _b1_factors(d)
         return (a * P) @ (b - diagonal_part(b)) + (a * Q) @ (b * W)
     return _b2_factor(d) * (a @ b)
+
+
+def _abs2_f2_action(v, a, b) -> np.ndarray:
+    """C_il = sum_j f^[2](v_i, v_j, v_l) a_ij b_jl for f(t) = t|t| on sorted
+    nonzero labels v, from the sign-half blocks: for each sign s, I holds the
+    indices of that sign and J the others, and R_IJ = v_J / (v_I - v_J)."""
+    h = int(np.searchsorted(v, 0.0))
+    ad = np.diagonal(a)
+    a_off, b_off = a - diagonal_part(a), b - diagonal_part(b)
+    out = np.empty(a.shape, dtype=complex)
+    for s, I, J in ((-1.0, slice(None, h), slice(h, None)),
+                    (1.0, slice(h, None), slice(None, h))):
+        R_IJ = v[J] / (v[I, None] - v[J])
+        R_JI_t = (v[I] / (v[J, None] - v[I])).T
+        # i, l in I: j in I drops the full diagonal exactly, j in J is odd
+        out[I, I] = s * (a_off[I, I] @ b[I, I] + ad[I, None] * b_off[I, I]
+                         + a[I, J] @ b[J, I] - 2.0 * (a[I, J] * R_IJ) @ (b[J, I] * R_IJ.T))
+        # i in I, l in J: for j in I the odd node is l, for j in J it is i
+        out[I, J] = s * (a[I, I] @ b[I, J] - 2.0 * R_IJ * (a[I, I] @ (R_IJ * b[I, J]))
+                         - a[I, J] @ b[J, J] + 2.0 * R_JI_t * ((a[I, J] * R_JI_t) @ b[J, J]))
+    return out
 
 
 def limit_symbol(variant: str, i: int, j: int, l: int) -> int:
@@ -329,6 +364,7 @@ def theorem_b2_experiment(p: float, n: int, d: GeometricDiscretization,
 
 def geometric_point_set(n: int, q: float = 0.8) -> PointSet:
     """Symmetric geometric labels -q, ..., -q^{n/2}, q^{n/2}, ..., q."""
+    _check_q(q)
     half = n // 2
     pos = q ** np.arange(1, n - half + 1)
     neg = -(q ** np.arange(1, half + 1))
@@ -345,20 +381,16 @@ class ExtrapolationReport:
 
 
 def extrapolation_experiment(n: int = 128, trials: int = 50, seed: int = 0,
-                             q: float = 0.8, fname: str = "abs2") -> ExtrapolationReport:
+                             q: float = 0.8) -> ExtrapolationReport:
     """Marcinkiewicz-scale envelope of the bilinear action on random S_2 inputs.
 
     Each trial draws Gaussian x, y normalized in S_2, applies the multiplier
-    with symbol f^[2] on the geometric point set, and records
+    with symbol f^[2], f(t) = t|t|, on the geometric point set, and records
     max_{1 <= s <= n} (sum of the s largest singular values) / log(1+s).
     """
-    from .decomp import f2_table
-
     check_count("n", n)
     check_count("trials", trials)
-    f = get_function(fname)
-    X = geometric_point_set(n, q)
-    tab = f2_table(f, X.values)
+    v = geometric_point_set(n, q).values
     sups = np.empty(trials)
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
@@ -366,6 +398,6 @@ def extrapolation_experiment(n: int = 128, trials: int = 50, seed: int = 0,
         y = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         x /= np.linalg.norm(x)
         y /= np.linalg.norm(y)
-        t = apply_bilinear(tab, X, x, y)
+        t = _abs2_f2_action(v, x, y)
         sups[trial] = marcinkiewicz_norm_from_sv(np.linalg.svd(t, compute_uv=False))
     return ExtrapolationReport(n, trials, seed, float(np.max(sups)), sups)

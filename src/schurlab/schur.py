@@ -50,7 +50,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BadBudget, BadExponent, DimensionMismatch, check_count
+from .errors import BadBudget, BadExponent, BadParameter, DimensionMismatch, check_count
 from .matrixnum import as_matrix, schatten_norm, schatten_norm_from_sv
 
 _TINY = 1e-300
@@ -65,11 +65,11 @@ class PointSet:
     def __post_init__(self):
         vals = np.asarray(self.labels, dtype=float)
         if vals.ndim != 1 or len(vals) == 0:
-            raise ValueError("labels must be a non-empty 1-d sequence")
+            raise BadParameter("labels must be a non-empty 1-d sequence")
         if not np.all(np.isfinite(vals)):
-            raise ValueError("labels must be finite")
+            raise BadParameter("labels must be finite")
         if np.any(np.diff(vals) <= 0):
-            raise ValueError("labels must be strictly increasing and distinct")
+            raise BadParameter("labels must be strictly increasing and distinct")
         object.__setattr__(self, "labels", tuple(float(v) for v in vals))
 
     @property

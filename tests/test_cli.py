@@ -54,9 +54,12 @@ def test_bad_tolerance_is_validation_error():
 
 @pytest.mark.parametrize("argv", [["hms", "--k", "0"], ["lowerlab", "limits", "--q", "1.5"],
                                   ["decomp", "--epsilon", "1"],
-                                  ["dyadic", "bk", "--kmin", "2", "--kmax", "1"]])
+                                  ["dyadic", "bk", "--kmin", "2", "--kmax", "1"],
+                                  *(["extrapolate", "--n", "4", "--q", q]
+                                    for q in ("-0.5", "0", "1", "nan"))])
 def test_bad_parameter_is_named_validation_error(argv, capsys):
-    # these exited 2 through a plain ValueError
+    # these exited 2 through a plain ValueError, except extrapolate --q -0.5,
+    # which ran on interleaved signs
     assert main(argv) == 2
     assert "error [BadParameter]" in capsys.readouterr().err
 

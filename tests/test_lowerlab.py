@@ -9,7 +9,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from schurlab.errors import IndexConstraint, SchurLabError
+from schurlab.decomp import f2_table
+from schurlab.errors import BadParameter, IndexConstraint, SchurLabError
 from schurlab.functions import get_function
 from schurlab import lowerlab
 from schurlab.lowerlab import (B1Report, GeometricDiscretization,
@@ -231,6 +232,10 @@ def test_geometric_point_set():
     X = geometric_point_set(10, 0.8)
     assert X.n == 10
     assert 0.0 not in X.labels
+    # q <= 0 interleaves the signs, which the sign blocks of the action need split
+    for q in (-0.5, 0.0, 1.0, 1.5, float("nan"), float("inf")):
+        with pytest.raises(BadParameter):
+            geometric_point_set(10, q)
 
 
 def test_extrapolation_report():
@@ -239,6 +244,94 @@ def test_extrapolation_report():
     assert len(rep.per_trial) == 8
     rep2 = extrapolation_experiment(n=32, trials=8, seed=1)
     assert rep.envelope == rep2.envelope
+    # one node: f^[2] is 0 on the full diagonal, so the action is exactly 0
+    assert extrapolation_experiment(n=1, trials=3).envelope == 0.0
+
+
+# envelope and per-trial values as computed from the stored f^[2] table
+FROZEN_EXTRAPOLATION = {
+    (64, 10, 0): (0.16457411016098217, [
+        0.1629262851601017, 0.1601017604061766, 0.16457411016098217,
+        0.16260718489805012, 0.162010923634983, 0.16384719614530102, 0.1617607739217124,
+        0.16446821249725624, 0.16268204219500124, 0.16375963870574156,
+    ]),
+    (64, 10, 1): (0.16342795348733474, [
+        0.16340835524822173, 0.16083835129246943, 0.16302535027581924,
+        0.16183465511138256, 0.16212749065134735, 0.16195541263236993,
+        0.16342795348733474, 0.1629719120131612, 0.1625353843709364,
+        0.16189158741560733,
+    ]),
+    (128, 10, 0): (0.15188781702475593, [
+        0.15110568119714637, 0.15031581146460232, 0.15037924089334767,
+        0.15047940240930374, 0.15188781702475593, 0.1510480353711853,
+        0.15015272584577385, 0.15150544370900482, 0.15054350377058004,
+        0.15088048992882216,
+    ]),
+    (128, 10, 1): (0.15171840613137422, [
+        0.15025627021726895, 0.1507400084356479, 0.15135246920582493,
+        0.1503259045406504, 0.15150356823401612, 0.15125590872744854,
+        0.15112326385211816, 0.15153810123433342, 0.15136500722460422,
+        0.15171840613137422,
+    ]),
+    (128, 50, 0): (0.15201986313161295, [
+        0.15110568119714637, 0.15031581146460232, 0.15037924089334767,
+        0.15047940240930374, 0.15188781702475593, 0.1510480353711853,
+        0.15015272584577385, 0.15150544370900482, 0.15054350377058004,
+        0.15088048992882216, 0.15148494745679653, 0.15056978192045106,
+        0.15139153123649052, 0.15112887053044322, 0.1512257734588442,
+        0.15078343948233167, 0.1504039626197398, 0.15056943129674533,
+        0.15093580013997177, 0.15122927025902333, 0.1503589443101714,
+        0.15045348535395392, 0.15080418047187077, 0.15055934415937425,
+        0.1504830804030517, 0.15050264299689126, 0.15201986313161295, 0.150806119018461,
+        0.15122298200754652, 0.15037041433840018, 0.15119421447935896,
+        0.15086901885873433, 0.15078555406238336, 0.15089311029117664,
+        0.15098887048421622, 0.15137902341279075, 0.15050555152995773,
+        0.15071412054146013, 0.15139907113627946, 0.15102840224712857,
+        0.1512650573351277, 0.15073964458730774, 0.15079237420769226,
+        0.15094381745177368, 0.1511488268369781, 0.14976636862825693,
+        0.15037532364015482, 0.1500556062066891, 0.1513885871175748,
+        0.15044612460733134,
+    ]),
+}
+
+
+@pytest.mark.parametrize("n, trials, seed", sorted(FROZEN_EXTRAPOLATION))
+def test_extrapolation_frozen(n, trials, seed):
+    envelope, per_trial = FROZEN_EXTRAPOLATION[n, trials, seed]
+    rep = extrapolation_experiment(n, trials, seed)
+    assert rep.envelope == pytest.approx(envelope, rel=1e-12, abs=0)
+    np.testing.assert_allclose(rep.per_trial, per_trial, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 33, 64, 128])
+def test_abs2_f2_action_equals_table_action(n):
+    rng = np.random.default_rng(n)
+    for q in (0.5, 0.8):
+        X = geometric_point_set(n, q)
+        a, b = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                for _ in range(2))
+        want = apply_bilinear(f2_table(get_function("abs2"), X.values), X, a, b)
+        got = lowerlab._abs2_f2_action(X.values, a, b)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), q
+
+
+def test_abs2_f2_action_entries_match_oracle():
+    # at q = 0.95 the nodes crowd and the table's divided differences lose
+    # digits (3e-14 here); the closed form keeps them.  The action on
+    # a = column j of ones, b = row j of ones is C_il = f^[2](v_i, v_j, v_l).
+    n = 16
+    v = geometric_point_set(n, 0.95).values
+    for j in range(n):
+        a = np.zeros((n, n), dtype=complex)
+        a[:, j] = 1.0
+        got = lowerlab._abs2_f2_action(v, a, a.T.copy())
+        assert np.all(got.imag == 0.0)
+        assert got[j, j] == 0.0
+        for i in range(n):
+            for l in range(n):
+                if len({i, j, l}) == 3:
+                    want = mp_divdiff("abs2", (v[i], v[j], v[l]))
+                    assert got[i, l].real == pytest.approx(want, abs=1e-15), (i, j, l)
 
 
 def _admissible(variant, i, j, l):
@@ -377,8 +470,9 @@ def _traced_peak_mb(call):
 def test_n3_builds_hold_no_n3_temporaries():
     # at n = 128 a complex n^3 table is 32 MB and a real one 16 MB; the
     # one-shot builds peaked at 212 MB (f^[2] table and action) and 81 MB (B1),
-    # and the B1 experiment at 22.8 MB with a stored table
-    assert _traced_peak_mb(lambda: extrapolation_experiment(n=128, trials=1)) < 64
+    # and the B1 experiment at 22.8 MB with a stored table.  The extrapolation
+    # action works on n x n blocks (1.6 MB); its f^[2] table alone was 16 MB
+    assert _traced_peak_mb(lambda: extrapolation_experiment(n=128, trials=1)) < 4
     for variant in ("B1", "B2"):
         d = GeometricDiscretization(0.5, 40, variant, 128)
         assert _traced_peak_mb(lambda: phi_table(d)) < 32

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 import schurlab
 from schurlab import schur
-from schurlab.errors import BadBudget, BadExponent, DimensionMismatch, SchurLabError
+from schurlab.errors import (BadBudget, BadExponent, BadParameter, DimensionMismatch,
+                             SchurLabError)
 from schurlab.matrixnum import schatten_norm, write_matrix
 from schurlab.schur import (Budget, DiscreteSymbol, PointSet, apply_bilinear,
                             apply_linear, diagonal_part, diagonal_symbol,
@@ -27,13 +28,16 @@ def random_pair(rng, n):
 
 
 def test_point_set_validation():
-    with pytest.raises(ValueError):
+    # BadParameter is also a ValueError
+    with pytest.raises(BadParameter):
         PointSet((1.0, 1.0, 2.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParameter):
         PointSet((2.0, 1.0))
     assert PointSet.integers(3).labels == (1.0, 2.0, 3.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParameter):
         PointSet((1.0, float("nan"), 2.0))
+    with pytest.raises(BadParameter):
+        PointSet(())
 
 
 @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=6))
