@@ -243,7 +243,7 @@ def volterra_matrix(n: int) -> np.ndarray:
     """Midpoint discretization of the integration operator on [0,1]:
     1/n below the diagonal, 1/(2n) on it."""
     if n < 2:
-        raise ValueError("n must be >= 2")
+        raise BadParameter(f"a Volterra matrix needs n >= 2, got {n}")
     v = np.tril(np.full((n, n), 1.0 / n), -1)
     np.fill_diagonal(v, 1.0 / (2.0 * n))
     return v.astype(complex)

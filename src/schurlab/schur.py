@@ -29,10 +29,17 @@ no BLAS call, so its results do not depend on the BLAS thread count; the
 first adjoint runs one BLAS matrix-vector product per slab row, and only
 inside the search.
 
+A job whose table and starts are real (every structured seed of a real
+table) runs its whole ascent and polish in float64: each step maps real
+matrices to real matrices, at a quarter of the complex flops.  Gaussian
+restarts stay complex, and every reported value is an SVD-measured ratio and
+every witness a complex matrix either way.
+
 The search runs its jobs on a thread pool, by default from n = POOL_MIN_N on,
-with the bundled OpenBLAS pinned to one thread (restored afterwards); each
-restart draws from its own generator, so its results do not depend on the
-BLAS or pool thread count.
+with the bundled OpenBLAS pinned to one thread (restored afterwards); the
+pool starts the longest jobs, the complex ones, first.  Each restart draws
+from its own generator and the outcomes are kept in job order, so its
+results do not depend on the BLAS or pool thread count or the schedule.
 """
 
 from __future__ import annotations
@@ -173,7 +180,7 @@ def row_slabs(n: int):
 
 def _bilinear(t, a, b):
     """C_il = sum_j t_ijl a_ij b_jl, in slabs of i."""
-    out = np.empty(a.shape, dtype=complex, order="F")
+    out = np.empty(a.shape, dtype=np.result_type(t, a, b), order="F")
     for r in row_slabs(len(a)):
         out[r] = np.einsum("ijl,jl->il", a[r, :, None] * t[r], b)
     return out
@@ -183,7 +190,7 @@ def _bilinear_adjoint_first(d, tc, bc):
     """G_ij = sum_l d_il tc_ijl bc_jl, in slabs of j: one BLAS matrix-vector
     product per j, as in the einsum plan (only the search calls it, with BLAS
     on one thread)."""
-    out = np.empty(d.shape, dtype=complex, order="F")
+    out = np.empty(d.shape, dtype=np.result_type(d, tc, bc), order="F")
     for r in row_slabs(len(tc)):
         prod = (tc[:, r] * d[:, None, :]).transpose(1, 0, 2)
         out[:, r] = np.matmul(prod, bc[r, :, None])[:, :, 0].T
@@ -192,7 +199,7 @@ def _bilinear_adjoint_first(d, tc, bc):
 
 def _bilinear_adjoint_second(d, tc, ac):
     """H_jl = sum_i d_il tc_ijl ac_ij, in slabs of j."""
-    out = np.empty(d.shape, dtype=complex, order="F")
+    out = np.empty(d.shape, dtype=np.result_type(d, tc, ac), order="F")
     for r in row_slabs(len(tc)):
         out[r] = np.einsum("il,ijl->jl", d, ac[:, r, None] * tc[:, r])
     return out
@@ -293,13 +300,13 @@ def _schatten(z: np.ndarray, p: float) -> float:
         t = float(np.vdot(w, w).real)  # tr G^k
         if _TINY < t < np.inf:
             return f * t ** (1.0 / p)
-    return schatten_norm(z, p)
+    return schatten_norm_from_sv(np.linalg.svd(z, compute_uv=False), p)
 
 
 def _normalize(x: np.ndarray, p: float) -> np.ndarray:
     n = _schatten(x, p)
     if n < _TINY:
-        raise ValueError("cannot normalize the zero matrix")
+        raise BadParameter("cannot normalize the zero matrix")
     return x / n
 
 
@@ -329,7 +336,9 @@ def _ascend(t: np.ndarray, tc: np.ndarray, starts, qs, p: float, iterations: int
     subgradient ascent from the normalized starts is followed by an
     alternating dual-alignment polish, one argument at a time; every polish
     half-step is an exact partial maximization, so the objective is monotone
-    there.  Returns the best value and its argument tuple.
+    there.  Returns the best value and its argument tuple, as complex
+    matrices.  Real t, tc and starts keep every step real: the restart then
+    runs in float64.
 
     SVDs of a restart that runs to the end, with P = max(8, iterations // 8)
     polish steps: one per norming step, and at a non-even exponent one per
@@ -347,7 +356,7 @@ def _ascend(t: np.ndarray, tc: np.ndarray, starts, qs, p: float, iterations: int
         adjoints = (lambda d, a: _bilinear_adjoint_first(d, tc, np.conj(a[1])),
                     lambda d, a: _bilinear_adjoint_second(d, tc, np.conj(a[0])))
 
-    args = [_normalize(np.array(a, dtype=complex), q) for a, q in zip(starts, qs)]
+    args = [_normalize(a, q) for a, q in zip(starts, qs)]
     best, best_args = -np.inf, tuple(args)
 
     def measure():
@@ -382,7 +391,7 @@ def _ascend(t: np.ndarray, tc: np.ndarray, starts, qs, p: float, iterations: int
         best, best_args = norm, tuple(args)
     if _even_half(p):  # re-certify the Gram-path value by one SVD
         best = schatten_norm(forward(best_args), p)
-    return best, best_args
+    return best, tuple(a.astype(complex, copy=False) for a in best_args)
 
 
 @functools.lru_cache(maxsize=None)
@@ -470,13 +479,15 @@ def norm_lower_search(kind: str, m, X: PointSet, exponents, budget: Budget = Bud
                       seeds: Sequence = (), threads: int | None = None) -> EstimateResult:
     """Best achieved ratio over seeded candidates plus Gaussian restarts.
 
-    The jobs (seeds, then restarts) run on ``threads`` pool threads; None
-    means SCHURLAB_THREADS if set, else one per available CPU (at most one
-    per job) when n >= POOL_MIN_N, else 1.  Restart r draws its start from
-    default_rng([budget.seed, r]), so the result is independent of how
-    restarts are distributed over threads; numpy's bundled OpenBLAS runs on
-    one thread meanwhile, which makes it independent of the BLAS thread
-    setting too.
+    The jobs (seeds, then restarts; ``per_restart`` keeps this order) run on
+    ``threads`` pool threads; None means SCHURLAB_THREADS if set, else one
+    per available CPU (at most one per job) when n >= POOL_MIN_N, else 1.
+    Restart r draws its start from default_rng([budget.seed, r]), so the
+    result is independent of how restarts are distributed over threads;
+    numpy's bundled OpenBLAS runs on one thread meanwhile, which makes it
+    independent of the BLAS thread setting too.  A seed with a zero matrix
+    is a BadParameter.  A seed without imaginary parts on a table without
+    them (real dtype or all-zero imaginary part) runs in float64.
     """
     n = X.n
     workers = _pool_threads(n, len(seeds) + budget.restarts, threads)
@@ -491,11 +502,17 @@ def norm_lower_search(kind: str, m, X: PointSet, exponents, budget: Budget = Bud
     for q in (*qs, p):
         _check_open_exponent(q)
     t = _table_of(m, X, len(qs) + 1)
+    real_table = t.dtype.kind != "c" or not np.any(t.imag)
 
     def checked(seed):
+        """The seed's matrices: real ones for a real job, else complex."""
         mats = tuple(_square(a, n) for a in ((seed,) if kind == "linear" else seed))
         if len(mats) != len(qs):
             raise DimensionMismatch(f"a {kind} seed needs {len(qs)} matrices")
+        if not all(np.any(a) for a in mats):
+            raise BadParameter(f"a {kind} seed holds a zero matrix")
+        if real_table and not any(np.any(a.imag) for a in mats):
+            return tuple(a.real.copy() for a in mats)
         return mats
 
     def run(job):
@@ -503,19 +520,28 @@ def norm_lower_search(kind: str, m, X: PointSet, exponents, budget: Budget = Bud
             rng = np.random.default_rng([budget.seed, job])
             job = tuple(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
                         for _ in qs)
-        return _ascend(t, tc, job, qs, p, budget.iterations)
+        if job[0].dtype.kind == "c":
+            return _ascend(t, tc, job, qs, p, budget.iterations)
+        return _ascend(tr, tr, job, qs, p, budget.iterations)
 
     jobs = [checked(s) for s in seeds] + list(range(budget.restarts))
     if not jobs:
         raise BadBudget("nothing to search: no seeds and budget.restarts == 0")
+    real_jobs = [not isinstance(job, int) and job[0].dtype.kind != "c" for job in jobs]
+    tr = t.real.copy() if t.dtype.kind == "c" and any(real_jobs) else t
     # conjugate in complex: a real t would keep +0.0 imaginary parts where
     # the conjugate of a complex table has -0.0, and in the linear adjoint
     # those signed zeros reach the SVD and move its last bits
-    tc = np.conj(t, dtype=complex)
+    tc = None if all(real_jobs) else np.conj(t, dtype=complex)
     with _one_blas_thread():
         if workers > 1:
+            # longest first: a complex job costs about four real ones, and the
+            # last job to start bounds the pool's wall time
+            order = sorted(range(len(jobs)), key=real_jobs.__getitem__)
+            outcomes = [None] * len(jobs)
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(run, jobs))
+                for i, outcome in zip(order, pool.map(run, [jobs[i] for i in order])):
+                    outcomes[i] = outcome
         else:
             outcomes = [run(job) for job in jobs]
 

@@ -52,6 +52,18 @@ def test_bad_tolerance_is_validation_error():
     assert main(["divdiff", "--f", "sin", "--nodes", "1,2", "--tol", "-1"]) == 2
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["hms", "--grid-points", "0"], "BadBudget"),
+    (["hms", "--grid-points", "1"], "BadBudget"),
+    (["hms", "--box", "0,nan"], "BadGrid"),
+    (["hms", "--box", "1,1"], "BadGrid"),
+    *((["lowerlab", cmd, "--n", "1"], "BadParameter") for cmd in ("b1", "b2", "sweep")),
+])
+def test_bad_grid_and_size_are_named_errors(argv, error, capsys):
+    assert main(argv) == 2
+    assert f"error [{error}]" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [["hms", "--k", "0"], ["lowerlab", "limits", "--q", "1.5"],
                                   ["decomp", "--epsilon", "1"],
                                   ["dyadic", "bk", "--kmin", "2", "--kmax", "1"],
@@ -207,6 +219,7 @@ COUNT_OPTIONS = (
     (["lowerlab", "sweep", "--n"], 1),
     (["lowerlab", "limits", "--k"], 1),
     (["hms", "--n"], 1),
+    (["hms", "--grid-points"], 2),
     (["constants", "table", "--points-per-decade"], 1),
     (["symcalc", "kernel", "--K"], 1),
     (["--threads"], 1, "schur", "--n", "4", "--restarts", "1", "--iterations", "2"),

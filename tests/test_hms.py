@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from schurlab.errors import DiagonalMargin, OrderUnsupported
+from schurlab.errors import BadBudget, BadGrid, DiagonalMargin, OrderUnsupported
 from schurlab.functions import get_function
 from schurlab.hms import (GridSpec, TwoVariableSymbol, hms_norm,
                           hms_theorem_bound, lemma43_check, make_ks_symbol,
@@ -94,3 +94,60 @@ def test_margin_validation():
         GridSpec(margin=0.0)
     with pytest.raises(OrderUnsupported):
         hms_theorem_bound(0, 1, get_function("sin"))
+
+
+@pytest.mark.parametrize("box", [(0.0, np.nan), (np.nan, 1.0), (0.0, np.inf),
+                                 (1.0, 1.0), (2.0, 1.0)])
+def test_bad_box_is_bad_grid(box):
+    with pytest.raises(BadGrid):
+        GridSpec(box=box)
+
+
+@pytest.mark.parametrize("points", [0, 1, -4, 2.5, 512.0, True])
+def test_bad_point_count_is_bad_budget(points):
+    # points=2.5 used to give 3 nodes, points=0 "no admissible sample points"
+    with pytest.raises(BadBudget):
+        GridSpec(points=points)
+
+
+def test_nan_margin_is_diagonal_margin():
+    with pytest.raises(DiagonalMargin):
+        GridSpec(margin=np.nan)
+
+
+def _hms_whole_grid(sym, grid):
+    """(sup |phi|, weighted sup, pairs) over every grid pair at once."""
+    lam, mu = np.broadcast_arrays(*np.ix_(grid.nodes(), grid.nodes()))
+    keep = np.abs(lam - mu) >= grid.margin
+    if sym.mask is not None:
+        keep &= sym.mask(lam, mu)
+    lv, mv = lam[keep], mu[keep]
+    weighted = np.abs(lv - mv) * (np.abs(sym.partial_lam(lv, mv))
+                                  + np.abs(sym.partial_mu(lv, mv)))
+    return float(np.max(np.abs(sym.value(lv, mv)))), float(np.max(weighted)), lv.size
+
+
+@pytest.mark.parametrize("points", [7, 100, 512])
+def test_row_blocks_equal_whole_grid_bitwise(points):
+    grid = GridSpec(points=points)
+    syms = [symbol_from_divdiff(get_function(f), n, k)
+            for f, n, k in (("sin", 2, 1), ("exp", 3, 2), ("abs2", 2, 1))]
+    for sym in syms + [make_ks_symbol(2.0), make_ks_symbol(1.0, -1)]:
+        rep = hms_norm(sym, grid)
+        sup_abs, sup_w, used = _hms_whole_grid(sym, grid)
+        assert (rep.sup_abs, rep.sup_weighted, rep.points_used) == (sup_abs, sup_w, used)
+        assert rep.value == sup_abs + sup_w
+
+
+def test_hms_norm_memory_is_bounded():
+    # the whole 512 x 512 grid at once peaked at 30 MB
+    import tracemalloc
+
+    sym = symbol_from_divdiff(get_function("sin"), 2, 1)
+    tracemalloc.start()
+    try:
+        hms_norm(sym)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6

@@ -154,6 +154,9 @@ def test_volterra_matrix():
     s256 = np.linalg.svd(volterra_matrix(256), compute_uv=False)
     assert abs(s256[0] - 2 / np.pi) < abs(s[0] - 2 / np.pi)
     assert schatten_norm(v, np.inf) <= 1.0
+    for n in (1, 0):
+        with pytest.raises(BadParameter):
+            volterra_matrix(n)
 
 
 def test_b1_limit_action_is_truncation_factorization(rng):

@@ -14,6 +14,7 @@ import schurlab
 from schurlab import schur
 from schurlab.errors import (BadBudget, BadExponent, BadParameter, DimensionMismatch,
                              SchurLabError)
+from schurlab.lowerlab import volterra_candidates
 from schurlab.matrixnum import schatten_norm, write_matrix
 from schurlab.schur import (Budget, DiscreteSymbol, PointSet, apply_bilinear,
                             apply_linear, diagonal_part, diagonal_symbol,
@@ -246,8 +247,6 @@ def _same_bits(a, b):
 @pytest.mark.parametrize("p", [4.0, 1.1, 32.0])
 @pytest.mark.parametrize("n", [64, 128])
 def test_pooled_default_equals_serial_linear(monkeypatch, n, p):
-    from schurlab.lowerlab import volterra_candidates
-
     pooled, serial = _pooled_and_serial(monkeypatch, "linear", m_plus_symbol(),
                                         PointSet.integers(n), p, Budget(1, 4, 3),
                                         seeds=volterra_candidates(n))
@@ -469,9 +468,13 @@ def _real_tables(kind, n):
 
 
 def _assert_same_search(kind, tab, X, exps):
+    # the structured seeds are real jobs on either table, the restarts complex
     assert tab.dtype == float
-    got = norm_lower_search(kind, tab, X, exps, Budget(2, 10, 3))
-    want = norm_lower_search(kind, tab.astype(complex), X, exps, Budget(2, 10, 3))
+    cands = volterra_candidates(X.n)
+    seeds = cands if kind == "linear" else list(zip(cands, reversed(cands)))
+    got = norm_lower_search(kind, tab, X, exps, Budget(2, 10, 3), seeds=seeds)
+    want = norm_lower_search(kind, tab.astype(complex), X, exps, Budget(2, 10, 3),
+                             seeds=seeds)
     assert got.ratio == want.ratio and got.per_restart == want.per_restart
     assert [w.tobytes() for w in got.witness] == [w.tobytes() for w in want.witness]
 
@@ -499,6 +502,103 @@ def test_actions_on_real_table_equal_complex_bitwise(rng):
         for t3 in _real_tables("bilinear", n)[1]:
             assert apply_bilinear(t3, X, a, b).tobytes() == \
                 apply_bilinear(t3.astype(complex), X, a, b).tobytes()
+
+
+# Real jobs run in float64.  The reference below runs every job in complex
+# arithmetic on the complex conjugate table.
+def _complex_search(sym, X, p, budget, seeds):
+    """Per-job values of the linear search with every job complex."""
+    n, t = X.n, sym.table(X)
+    tc = np.conj(t, dtype=complex)
+    starts = [np.asarray(a, dtype=complex) for a in seeds]
+    for r in range(budget.restarts):
+        rng = np.random.default_rng([budget.seed, r])
+        starts.append(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return [schur._ascend(t, tc, (a,), (p,), p, budget.iterations)[0] for a in starts]
+
+
+@pytest.mark.parametrize("restarts", [0, 1])
+@pytest.mark.parametrize("p", [4.0, 1.1, 32.0])
+@pytest.mark.parametrize("n", [16, 64, 128])
+def test_real_jobs_match_complex_arithmetic(n, p, restarts):
+    X, budget = PointSet.integers(n), Budget(restarts, 10, 0)
+    seeds = volterra_candidates(n)
+    for sym in (m_plus_symbol(), schur.truncation_symbol("+")):
+        got = norm_lower_search("linear", sym, X, p, budget, seeds=seeds)
+        want = _complex_search(sym, X, p, budget, seeds)
+        assert got.ratio == pytest.approx(max(want), rel=1e-12, abs=0)
+        # from the rank-one all-ones seed (job 2) the p = 32 polish leaves an
+        # unstable fixed point along a rounding-level direction, so each
+        # arithmetic ends at another value below the best
+        skip = {2} if p == 32.0 else set()
+        for k, (g, w) in enumerate(zip(got.per_restart, want)):
+            if k not in skip:
+                assert g == pytest.approx(w, rel=1e-12, abs=0), k
+
+
+@pytest.mark.parametrize("p", [1.1, 4.0])
+def test_real_search_makes_no_complex_svd(p, monkeypatch):
+    # a real table with real seeds only: the one complex SVD per job is the
+    # re-measure of an even-p best value
+    n = 16
+    inputs = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        inputs.append(np.iscomplexobj(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    res = norm_lower_search("linear", m_plus_symbol(), PointSet.integers(n), p,
+                            Budget(0, 10, 0), seeds=volterra_candidates(n))
+    assert len(inputs) >= 45
+    assert sum(inputs) == (len(res.per_restart) if p == 4.0 else 0)
+    assert res.witness[0].dtype == np.complex128
+
+
+def test_real_bilinear_search_returns_complex_witness():
+    from schurlab.lowerlab import GeometricDiscretization, phi_table
+    n = 8
+    cands = volterra_candidates(n)
+    res = norm_lower_search("bilinear", phi_table(GeometricDiscretization(0.5, 40, "B1", n)),
+                            PointSet.integers(n), (4.0, 4.0, 2.0), Budget(0, 5, 0),
+                            seeds=[(cands[0], cands[1])])
+    assert [w.dtype for w in res.witness] == [np.complex128] * 2
+    assert res.ratio > 0
+
+
+@pytest.mark.parametrize("kind", ["linear", "bilinear"])
+def test_pooled_mixed_search_keeps_job_order(kind, monkeypatch):
+    # real seed jobs and complex restarts: the pool starts the restarts first
+    # but reports every job in its place, seeds then restarts
+    from schurlab.lowerlab import GeometricDiscretization, phi_table
+    n = 64
+    X, cands = PointSet.integers(n), volterra_candidates(n)
+    if kind == "linear":
+        m, exps, seeds = m_plus_symbol(), 4.0, cands
+    else:
+        m = phi_table(GeometricDiscretization(0.5, 40, "B1", n))
+        exps, seeds = (4.0, 4.0, 2.0), list(zip(cands[:2], cands[1:3]))
+    pooled, serial = _pooled_and_serial(monkeypatch, kind, m, X, exps, Budget(2, 3, 7),
+                                        seeds=seeds)
+    assert _same_bits(pooled, serial)
+    seeds_only = norm_lower_search(kind, m, X, exps, Budget(0, 3, 7), seeds=seeds)
+    restarts_only = norm_lower_search(kind, m, X, exps, Budget(2, 3, 7))
+    assert pooled.per_restart == seeds_only.per_restart + restarts_only.per_restart
+
+
+def test_zero_seed_is_rejected_before_any_job(monkeypatch):
+    def no_job(*args, **kwargs):
+        raise AssertionError("a job ran")
+
+    monkeypatch.setattr(schur, "_ascend", no_job)
+    X, good = PointSet.integers(4), np.eye(4)
+    cases = [("linear", m_plus_symbol(), 4.0, [good, np.zeros((4, 4))]),
+             ("bilinear", ones_symbol(3), (4.0, 4.0, 2.0), [(good, good),
+                                                            (good, np.zeros((4, 4)))])]
+    for kind, m, exps, seeds in cases:
+        with pytest.raises(BadParameter, match="zero matrix"):
+            norm_lower_search(kind, m, X, exps, Budget(1, 3, 0), seeds=seeds)
 
 
 def _polish_steps(iterations):
