@@ -30,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divdiff import divdiff_two_var_grid, divided_difference
+from .divdiff import divdiff_two_var_grid, divided_difference, newton_table
 from .errors import BadParameter, DiagonalQuery, NonFiniteNode, OriginQuery, PoleHit
-from .functions import KIND_GENERALIZED_ABS, ScalarFunction
+from .functions import ScalarFunction
 from .matrixnum import as_matrix
 from .schur import PointSet, apply_bilinear, row_slabs
 
@@ -186,39 +186,18 @@ def a_symbol(i: int, triple, P: SectorPartition) -> float:
 # ----------------------------------------------------------------------------
 
 def f2_values(f: ScalarFunction, l0, l1, l2):
-    """Vectorized f^[2] over triples whose coordinates are exactly equal or
-    separated (as on a PointSet grid); repeated coordinates use the derivative
-    conventions, the full diagonal uses f''/2 (0 for s|s|).  A NaN or infinite
-    node raises NonFiniteNode."""
+    """Vectorized f^[2] over broadcastable triples: the nodes are sorted by a
+    min/max network and passed to the one Newton table, so equal coordinates
+    use the derivative conventions and the full diagonal f''/2 (0 for s|s|).
+    A NaN or infinite node raises NonFiniteNode."""
     l0, l1, l2 = (np.asarray(x, float) for x in (l0, l1, l2))
     for x in (l0, l1, l2):
         if not np.all(np.isfinite(x)):
             raise NonFiniteNode(f"nodes must be finite, got {x[~np.isfinite(x)].tolist()}")
     lo, hi = np.minimum(l0, l1), np.maximum(l0, l1)
-    mid = np.minimum(hi, l2)
-    np.maximum(mid, lo, out=mid)  # the median of the three
+    mid = np.maximum(np.minimum(hi, l2), lo)  # the median of the three
     lo, hi = np.minimum(lo, l2), np.maximum(hi, l2)
-
-    flo, fmid, fhi = f.eval(lo), f.eval(mid), f.eval(hi)
-    d1 = f.deriv(1)
-    span = hi - lo
-    gap_lm = mid - lo
-    gap_mh = hi - mid
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slope_lm = np.where(gap_lm > 0, (fmid - flo) / np.where(gap_lm > 0, gap_lm, 1.0),
-                            d1(lo))
-        slope_mh = np.where(gap_mh > 0, (fhi - fmid) / np.where(gap_mh > 0, gap_mh, 1.0),
-                            d1(hi))
-        out = np.where(span > 0, (slope_mh - slope_lm) / np.where(span > 0, span, 1.0), 0.0)
-
-    diag = lo == hi
-    if np.any(diag):
-        if f.kind == KIND_GENERALIZED_ABS:
-            out = np.where(diag, 0.0, out)
-        else:
-            out = np.where(diag, f.deriv(2)(lo) / 2.0, out)
-    return out
+    return newton_table(f, [lo, mid, hi])
 
 
 def f2_table(f: ScalarFunction, v) -> np.ndarray:
@@ -236,17 +215,7 @@ def two_var_tables(f: ScalarFunction, X: PointSet):
     ring[i,j] = f^[2](x_i, x_i, x_j)."""
     v = X.values
     lam, mu = v[:, None], v[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phi = divdiff_two_var_grid(f, 2, 1, lam, mu)
-        ring = divdiff_two_var_grid(f, 2, 2, lam, mu)
-    if f.kind == KIND_GENERALIZED_ABS:
-        dvals = np.zeros(X.n)
-    else:
-        dvals = f.deriv(2)(v) / 2.0
-    idx = np.arange(X.n)
-    phi[idx, idx] = dvals
-    ring[idx, idx] = dvals
-    return phi, ring
+    return divdiff_two_var_grid(f, 2, 1, lam, mu), divdiff_two_var_grid(f, 2, 2, lam, mu)
 
 
 def a_values(l0, l1, l2, P: SectorPartition):

@@ -1,10 +1,17 @@
 """Divided differences with repeated nodes and their analytic partials.
 
-The n-th order divided difference f^[n](l_0, ..., l_n) is computed from the
-confluent Newton table: nodes are sorted, clustered with an absolute tolerance,
-each cluster is collapsed to its mean, and any all-equal window of the table is
-filled with f^(r)(x)/r!.  Sorting first means every division in the table uses
-the largest gap available inside its window, which keeps cancellation in check.
+Every divided difference here comes from one confluent Newton table,
+``newton_table(f, nodes)``, whose nodes must list equal values next to each
+other.  A window of the table whose two end nodes are equal then has all its
+nodes equal and holds f^(w)(x)/w!; every other window is the difference
+quotient of the two windows inside it.  The nodes may be arrays, so one table
+serves a scalar tuple, a grid of two-variable tuples and an n^3 grid of
+triples alike, equal and unequal points mixed.
+
+``divided_difference`` sorts the nodes, clusters them with an absolute
+tolerance and collapses each cluster to its mean before building the table.
+Sorting first means every division uses the largest gap available inside its
+window, which keeps cancellation in check.
 
 For f(s) = s*|s| (kind ``generalized_abs``) the order-2 value on a fully
 coincident node triple is 0 by convention; no pointwise second derivative is
@@ -44,6 +51,35 @@ def _check_order(f: ScalarFunction, n: int):
         raise OrderUnsupported(f"order {n} exceeds max_order {f.max_order} of {f.name}")
 
 
+def newton_table(f: ScalarFunction, nodes):
+    """f^[n] at the n+1 broadcastable nodes, equal nodes next to each other.
+
+    Only the previous diagonal of the table is kept.  f^(w) is evaluated only
+    for a window with some equal end nodes; a window whose end nodes are equal
+    at some points and differ at others takes each value where it applies."""
+    n = len(nodes) - 1
+    prev = [f.eval(x) for x in nodes]
+    for w in range(1, n + 1):
+        cur = []
+        for i in range(n + 1 - w):
+            first, last = nodes[i], nodes[i + w]
+            same = np.asarray(first == last)
+            if not same.any():
+                cur.append((prev[i + 1] - prev[i]) / (last - first))
+                continue
+            if f.kind == KIND_GENERALIZED_ABS and w == 2:
+                conf = np.zeros(same.shape)
+            else:
+                conf = f.deriv(w)(first) / math.factorial(w)
+            if same.all():
+                cur.append(conf)
+            else:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    cur.append(np.where(same, conf, (prev[i + 1] - prev[i]) / (last - first)))
+        prev = cur
+    return prev[0]
+
+
 def divided_difference(f: ScalarFunction, nodes: Sequence[float], tol: float = DEFAULT_TOL) -> float:
     """f^[n] at the given n+1 nodes (any order, repeats allowed)."""
     if tol <= 0:
@@ -55,39 +91,8 @@ def divided_difference(f: ScalarFunction, nodes: Sequence[float], tol: float = D
     if not np.all(np.isfinite(z)):
         raise NonFiniteNode(f"nodes must be finite, got {z[~np.isfinite(z)].tolist()}")
     _check_order(f, n)
-
     means, sizes = _cluster_sorted(z, tol)
-    if len(means) == 1:
-        # fully confluent tuple
-        if f.kind == KIND_GENERALIZED_ABS and n == 2:
-            return 0.0
-        if n > f.max_order:
-            raise OrderUnsupported(
-                f"confluent order {n} needs f^({n}) which {f.name} lacks")
-        return float(f.deriv(n)(means[0])) / math.factorial(n)
-
-    # expanded confluent node list: cluster means with multiplicity
-    zz = np.repeat(means, sizes)
-    sizes = np.asarray(sizes)
-    if f.kind != KIND_GENERALIZED_ABS and int(sizes.max()) - 1 > f.max_order:
-        raise OrderUnsupported(
-            f"node multiplicity {int(sizes.max())} needs derivatives {f.name} lacks")
-
-    # Newton table over windows [i, j]; only the previous diagonal is kept.
-    prev = [float(f.eval(x)) for x in zz]
-    for width in range(1, n + 1):
-        cur = []
-        for i in range(n + 1 - width):
-            j = i + width
-            if zz[j] == zz[i]:
-                if f.kind == KIND_GENERALIZED_ABS and width == 2:
-                    cur.append(0.0)
-                else:
-                    cur.append(float(f.deriv(width)(zz[i])) / math.factorial(width))
-            else:
-                cur.append((prev[i + 1] - prev[i]) / (zz[j] - zz[i]))
-        prev = cur
-    return prev[0]
+    return float(newton_table(f, np.repeat(means, sizes)))
 
 
 def divdiff_two_var(f: ScalarFunction, n: int, k: int, lam: float, mu: float,
@@ -100,50 +105,13 @@ def divdiff_two_var(f: ScalarFunction, n: int, k: int, lam: float, mu: float,
 
 
 def divdiff_two_var_grid(f: ScalarFunction, n: int, k: int, lam, mu):
-    """Vectorized f^[n](lambda^(k), mu^(n+1-k)) for |lambda - mu| bounded away from 0.
-
-    The confluent table is evaluated on whole arrays at once.  Windows with
-    equal endpoints are structural here (both endpoints inside the lambda block
-    or inside the mu block), so no per-point branching is needed.
-    """
+    """Vectorized f^[n](lambda^(k), mu^(n+1-k)) on broadcastable arrays,
+    f^(n)(lambda)/n! (0 for s|s| at n = 2) where lambda == mu."""
     if not 0 <= k <= n + 1:
         raise ValueError(f"need 0 <= k <= n+1, got k={k}, n={n}")
     _check_order(f, n)
-    lam = np.asarray(lam, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    if k == 0 or k == n + 1:
-        x = mu if k == 0 else lam
-        if f.kind == KIND_GENERALIZED_ABS and n == 2:
-            return np.zeros(np.broadcast(lam, mu).shape)
-        return f.deriv(n)(x) / math.factorial(n)
-
-    lam, mu = np.broadcast_arrays(lam, mu)
-    gap = lam - mu
-    # node list sorted by position in the tuple: window [i, j] has equal
-    # endpoints iff j < k (all lambda) or i >= k (all mu).
-    def node(i):
-        return lam if i < k else mu
-
-    prev = [f.eval(node(i)) * np.ones_like(gap) for i in range(n + 1)]
-    for width in range(1, n + 1):
-        cur = []
-        for i in range(n + 1 - width):
-            j = i + width
-            if j < k:
-                if f.kind == KIND_GENERALIZED_ABS and width == 2:
-                    cur.append(np.zeros_like(gap))
-                else:
-                    cur.append(f.deriv(width)(lam) / math.factorial(width) * np.ones_like(gap))
-            elif i >= k:
-                if f.kind == KIND_GENERALIZED_ABS and width == 2:
-                    cur.append(np.zeros_like(gap))
-                else:
-                    cur.append(f.deriv(width)(mu) / math.factorial(width) * np.ones_like(gap))
-            else:
-                denom = node(j) - node(i)  # mu - lam, never 0 off the diagonal
-                cur.append((prev[i + 1] - prev[i]) / denom)
-        prev = cur
-    return prev[0]
+    lam, mu = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(mu, dtype=float))
+    return newton_table(f, [lam] * k + [mu] * (n + 1 - k))
 
 
 def divdiff_partial(f: ScalarFunction, n: int, k: int, lam: float, mu: float,

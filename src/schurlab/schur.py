@@ -147,6 +147,8 @@ def _table_of(m, X: PointSet, arity: int) -> np.ndarray:
         raise ValueError(f"symbol table must be numeric, got dtype {arr.dtype}")
     if arr.ndim != arity or arr.shape != (X.n,) * arity:
         raise DimensionMismatch(f"table shape {arr.shape} incompatible with |X| = {X.n}")
+    if not np.isfinite(arr).all():
+        raise BadParameter("symbol table entries must be finite")
     return arr
 
 

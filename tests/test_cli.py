@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,15 @@ def test_bad_kernel_radii_is_validation_error(radii, capsys):
     # --radii nan used to print C1_hat nan and exit 0
     assert main(["symcalc", "kernel", "--radii", radii]) == 2
     assert "BadGrid" in capsys.readouterr().err
+
+
+def test_dyadic_probe_at_large_exponents_is_positive(capsys):
+    # sum(sv ** p) used to overflow here and the probe printed "best ratio 0"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["dyadic", "probe", "--p1", "800", "--p2", "800", "--p", "400"]) == 0
+    ratio = float(capsys.readouterr().out.split("best ratio")[1])
+    assert 0.0 < ratio < 1.0
 
 
 def test_bad_tolerance_is_validation_error():
@@ -189,6 +199,16 @@ def test_bad_config_line_is_usage_error(text, tmp_path, capsys):
 def test_schur_named_symbols(kind, symbol, code, capsys):
     assert main(["schur", "--kind", kind, "--symbol", symbol, "--n", "4",
                  "--restarts", "1", "--iterations", "3"]) == code
+
+
+def test_non_finite_symbol_table_is_validation_error(tmp_path, capsys):
+    path = tmp_path / "table.txt"
+    entries = ["1 0"] * 9
+    entries[4] = "nan 0"
+    path.write_text("3 3\n" + " ".join(entries) + "\n")
+    assert main(["schur", "--n", "3", "--symbol", f"@{path}",
+                 "--restarts", "1", "--iterations", "3"]) == 2
+    assert "error [BadParameter]" in capsys.readouterr().err
 
 
 def test_bad_budget_is_validation_error(capsys):

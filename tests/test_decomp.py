@@ -162,6 +162,18 @@ def test_f2_values_matches_engine(P, rng):
                     assert tab[i, j, l] == pytest.approx(ref, abs=1e-11), (name, i, j, l)
 
 
+@pytest.mark.parametrize("name", ["sin", "exp", "cube", "abs2"])
+def test_f2_values_equals_divided_difference_bitwise(name, rng):
+    # both read the one Newton table: f2_values on whole arrays or on
+    # scalars, divided_difference on the sorted scalar nodes
+    f = get_function(name)
+    t = rng.uniform(-3, 3, (300, 3))
+    want = np.array([divided_difference(f, row) for row in t])
+    assert f2_values(f, t[:, 0], t[:, 1], t[:, 2]).tobytes() == want.tobytes()
+    for row, w in zip(t[:20], want):
+        assert np.float64(f2_values(f, *row)).tobytes() == w.tobytes(), row
+
+
 def test_two_var_tables(P, rng):
     f = get_function("sin")
     X = PointSet(tuple(np.sort(rng.uniform(-2, 2, 6))))

@@ -142,6 +142,25 @@ def test_two_var_grid_matches_scalar(rng):
                     divdiff_two_var(f, n, k, lam[i], mu[i]), rel=1e-10, abs=1e-12)
 
 
+@pytest.mark.parametrize("name", ["sin", "exp", "cube", "abs2"])
+def test_two_var_grid_on_the_diagonal(name, rng):
+    # where lambda == mu the grid value is f^(n)(lambda)/n!, 0 for s|s| at n = 2
+    f = get_function(name)
+    v = np.sort(rng.uniform(-2, 2, 9))
+    for n in range(1, 3 if name == "abs2" else 4):
+        want = (np.zeros(9) if name == "abs2" and n == 2
+                else f.deriv(n)(v) / math.factorial(n))
+        for k in range(n + 2):
+            grid = divdiff_two_var_grid(f, n, k, v[:, None], v[None, :])
+            assert grid.shape == (9, 9) and np.isfinite(grid).all()
+            assert np.diagonal(grid).tobytes() == want.tobytes(), (n, k)
+            if 0 < k <= n:
+                i, j = np.nonzero(~np.eye(9, dtype=bool))
+                for a, b in zip(i[::11], j[::11]):
+                    assert grid[a, b] == pytest.approx(
+                        divdiff_two_var(f, n, k, v[a], v[b]), rel=1e-10, abs=1e-12)
+
+
 def test_partial_trivial_cases():
     assert divdiff_partial(get_function("square"), 1, 1, 0.3, 1.7, "lambda") == \
         pytest.approx(1.0)

@@ -1,5 +1,6 @@
 import itertools
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -225,6 +226,16 @@ def test_lp_schatten_norm(D):
     f = StepFunction(D, vals)
     assert lp_schatten_norm(f, 2.0) == pytest.approx(2.0)
     assert lp_schatten_norm(f, 4.0) == pytest.approx(2.0)
+
+
+def test_lp_schatten_norm_large_exponent(D, rng):
+    # sv ** p overflows here; the norm must come out finite, not 0 or inf
+    f = StepFunction(D, 10.0 * rng.standard_normal((D.n_units, 2, 2)))
+    sv = np.linalg.svd(f.values, compute_uv=False).ravel()
+    with mp.workdps(40):
+        ref = (mp.fsum(mp.mpf(float(s)) ** 1000 for s in sv) * D.unit) ** (mp.mpf(1) / 1000)
+    val = lp_schatten_norm(f, 1000.0)
+    assert np.isfinite(val) and val == pytest.approx(float(ref), rel=1e-13)
 
 
 def test_trilinear_orthogonal_output_slot(D, rng):

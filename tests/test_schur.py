@@ -673,6 +673,21 @@ def test_tabulated_symbol():
         apply_linear(np.ones(3), PointSet.integers(3), a)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_table_is_rejected(bad):
+    # the search used to fail inside the SVD with LinAlgError
+    X = PointSet.integers(3)
+    for arity, kind, exps in ((2, "linear", 4.0), (3, "bilinear", (4.0, 4.0, 2.0))):
+        tab = np.ones((3,) * arity)
+        tab[(1,) * arity] = bad
+        with pytest.raises(BadParameter, match="finite"):
+            norm_lower_search(kind, tab, X, exps, Budget(1, 2, 0))
+    with pytest.raises(BadParameter, match="finite"):
+        apply_bilinear(tab, X, np.eye(3), np.eye(3))
+    with pytest.raises(BadParameter, match="finite"):
+        apply_linear(tab[1] + 0j, X, np.eye(3))
+
+
 def test_string_table_is_rejected():
     X = PointSet.integers(2)
     tab = np.array([["1", "0"], ["0", "1"]])
