@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divdiff import divdiff_two_var_grid, divided_difference, newton_table
+from .divdiff import divdiff_two_var_grid, newton_table
 from .errors import BadParameter, DiagonalQuery, NonFiniteNode, OriginQuery, PoleHit
 from .functions import ScalarFunction
 from .matrixnum import as_matrix
@@ -71,9 +71,9 @@ class SectorPartition:
 
     ``band`` is the smoothstep transition width (default epsilon/2); each bump
     support is pulled epsilon/4 inside its open arc.  Both keep the three
-    supports overlapping, so the normalizing sum is positive.  ``thetas``
-    gives all three theta_j from one pass over the six bumps (three sectors at
-    phi and phi + pi) and one normalizing sum.
+    supports overlapping.  ``thetas`` gives all three theta_j from one pass
+    over the six bumps (three sectors at phi and phi + pi) and one normalizing
+    sum; it raises BadParameter where so wide a band underflows that sum to 0.
     """
 
     epsilon: float = math.pi / 32
@@ -84,8 +84,8 @@ class SectorPartition:
             raise BadParameter(f"epsilon must lie in (0, pi/8), got {self.epsilon}")
         if self.band is None:
             object.__setattr__(self, "band", self.epsilon / 2)
-        if self.band <= 0:
-            raise BadParameter("band must be positive")
+        if not (math.isfinite(self.band) and self.band > 0):
+            raise BadParameter(f"band must be positive and finite, got {self.band}")
 
     def arcs(self, j: int):
         _check_sector(j)
@@ -116,6 +116,9 @@ class SectorPartition:
         nums = [0.5 * (self._bump(k, phi) + self._bump(k, phi + math.pi))
                 for k in (1, 2, 3)]
         den = nums[0] + nums[1] + nums[2]
+        zero = den <= 0.0
+        if np.any(zero):
+            raise BadParameter(f"normalizing sum 0 at angle {phi[zero].flat[0]}, band {self.band}")
         return tuple(num / den for num in nums)
 
     def theta_of_angle(self, j: int, phi):
@@ -138,14 +141,20 @@ _PSI_DEFS = {
 }
 
 
+def _psi_values(l0, l1, l2):
+    """(psi_1, psi_2, psi_3) on broadcastable arrays, 0 at their poles."""
+    lam = (l0, l1, l2)
+    return [np.divide(lam[a] - lam[b], lam[c] - lam[d], out=np.zeros(np.shape(l0)),
+                      where=lam[c] != lam[d]) for a, b, c, d in _PSI_DEFS.values()]
+
+
 def psi(j: int, triple) -> float:
     """psi_j, the rational Toeplitz interpolation factor."""
     lam = tuple(float(v) for v in triple)
-    a, b, c, d = _PSI_DEFS[j]
-    den = lam[c] - lam[d]
-    if den == 0.0:
+    _, _, c, d = _PSI_DEFS[j]
+    if lam[c] == lam[d]:
         raise PoleHit(f"psi_{j} pole at {triple}")
-    return (lam[a] - lam[b]) / den
+    return float(_psi_values(*lam)[j - 1])
 
 
 # (sector j, use 1 - psi_j?, k of the sign factor e_k) for a_1 ... a_6
@@ -156,21 +165,6 @@ _A_DEFS = {
 }
 
 
-def _a_six(l0: float, l1: float, l2: float, P: SectorPartition) -> list:
-    """a_1 ... a_6 at an off-diagonal triple from one evaluation of the partition."""
-    ths = P.thetas(math.atan2(l2 - l1, l1 - l0))
-    signs = (float(sign1(l1 - l0)), float(sign1(l2 - l1)), float(sign1(l2 - l0)))
-    out = []
-    for j, complement, sgn_idx in _A_DEFS.values():
-        th = float(ths[j - 1])
-        if th < _SUPPORT_FLOOR:
-            out.append(0.0)
-        else:
-            p = psi(j, (l0, l1, l2))
-            out.append(signs[sgn_idx - 1] * th * (1.0 - p if complement else p))
-    return out
-
-
 def a_symbol(i: int, triple, P: SectorPartition) -> float:
     """a_i at an off-diagonal triple, with the zero extension off supp(theta)."""
     if i not in _A_DEFS:
@@ -178,7 +172,7 @@ def a_symbol(i: int, triple, P: SectorPartition) -> float:
     l0, l1, l2 = (float(v) for v in triple)
     if l0 == l1 == l2:
         raise DiagonalQuery(f"a_{i} undefined on the diagonal, got {triple}")
-    return _a_six(l0, l1, l2, P)[int(i) - 1]
+    return float(a_values(l0, l1, l2, P)[int(i) - 1])
 
 
 # ----------------------------------------------------------------------------
@@ -219,30 +213,31 @@ def two_var_tables(f: ScalarFunction, X: PointSet):
 
 
 def a_values(l0, l1, l2, P: SectorPartition):
-    """The six a_i evaluated on broadcastable arrays of off-diagonal triples."""
+    """The six a_i on broadcastable arrays of triples.  A diagonal triple gets
+    a finite placeholder, which a_tables overwrites."""
     l0, l1, l2 = np.broadcast_arrays(np.asarray(l0, float), np.asarray(l1, float),
                                      np.asarray(l2, float))
     thetas = P.thetas(np.arctan2(l2 - l1, l1 - l0))
-    psis = {}
-    for j, (a, b, c, d) in _PSI_DEFS.items():
-        lam = (l0, l1, l2)
-        den = lam[c] - lam[d]
-        safe = np.where(den != 0, den, 1.0)
-        psis[j] = np.where(den != 0, (lam[a] - lam[b]) / safe, 0.0)
+    psis = _psi_values(l0, l1, l2)
     signs = (sign1(l1 - l0), sign1(l2 - l1), sign1(l2 - l0))
     out = []
     for j, complement, sgn_idx in _A_DEFS.values():
         th = thetas[j - 1]
-        p = 1.0 - psis[j] if complement else psis[j]
+        p = 1.0 - psis[j - 1] if complement else psis[j - 1]
         out.append(signs[sgn_idx - 1] * np.where(th > _SUPPORT_FLOOR, th * p, 0.0))
     return out
 
 
 def a_tables(X: PointSet, P: SectorPartition):
     """The six a_i tables over X^3, with a_1 = 1 and a_i = 0 (i > 1) on the
-    full diagonal so that the operator identity extends to diagonal triples."""
+    full diagonal so that the operator identity extends to diagonal triples;
+    filled in row slabs of the first index, so the temporaries stay O(n^2)."""
     v = X.values
-    tables = a_values(v[:, None, None], v[None, :, None], v[None, None, :], P)
+    tables = [np.empty((X.n,) * 3) for _ in _A_DEFS]
+    for r in row_slabs(X.n):
+        slabs = a_values(v[r, None, None], v[None, :, None], v[None, None, :], P)
+        for tab, slab in zip(tables, slabs):
+            tab[r] = slab
     idx = np.arange(X.n)
     for i, tab in enumerate(tables, start=1):
         tab[idx, idx, idx] = 1.0 if i == 1 else 0.0
@@ -251,45 +246,22 @@ def a_tables(X: PointSet, P: SectorPartition):
 
 def decomposition_residual(f: ScalarFunction, triple, P: SectorPartition) -> float:
     """f^[2](triple) minus the six-term reconstruction, at one off-diagonal triple."""
-    l0, l1, l2 = (float(v) for v in triple)
-    if l0 == l1 == l2:
-        raise DiagonalQuery(f"residual undefined on the diagonal, got {triple}")
-    lhs = divided_difference(f, (l0, l1, l2))
-
-    def phi_f(a, b):
-        return divided_difference(f, (a, b, b))
-
-    def ring_f(a, b):
-        return divided_difference(f, (a, a, b))
-
-    eps = lambda a, b: float(sign1(b - a))
-    a = _a_six(l0, l1, l2, P)
-    terms = (
-        a[0] * eps(l0, l1) * phi_f(l0, l1),
-        a[1] * eps(l1, l2) * ring_f(l1, l2),
-        a[2] * eps(l0, l2) * ring_f(l0, l2),
-        a[3] * eps(l0, l1) * ring_f(l0, l1),
-        a[4] * eps(l1, l2) * phi_f(l1, l2),
-        a[5] * eps(l0, l2) * phi_f(l0, l2),
-    )
-    return lhs - sum(terms)
+    return float(decomposition_residuals(f, [triple], P)[0])
 
 
 def decomposition_residuals(f: ScalarFunction, triples, P: SectorPartition):
-    """Vectorized six-term residuals at an (m, 3) array of off-diagonal triples."""
+    """Six-term residuals at an (m, 3) array of off-diagonal triples; a
+    diagonal triple raises DiagonalQuery."""
     triples = np.asarray(triples, dtype=float)
     l0, l1, l2 = triples[..., 0], triples[..., 1], triples[..., 2]
     lhs = f2_values(f, l0, l1, l2)
+    diagonal = (l0 == l1) & (l1 == l2)
+    if np.any(diagonal):
+        raise DiagonalQuery(f"residual undefined at diagonal triples {triples[diagonal].tolist()}")
     a = a_values(l0, l1, l2, P)
-    phi01 = f2_values(f, l0, l1, l1)
-    phi12 = f2_values(f, l1, l2, l2)
-    phi02 = f2_values(f, l0, l2, l2)
-    ring12 = f2_values(f, l1, l1, l2)
-    ring02 = f2_values(f, l0, l0, l2)
-    ring01 = f2_values(f, l0, l0, l1)
-    e01 = sign1(l1 - l0)
-    e12 = sign1(l2 - l1)
-    e02 = sign1(l2 - l0)
+    phi01, phi12, phi02 = (f2_values(f, x, y, y) for x, y in ((l0, l1), (l1, l2), (l0, l2)))
+    ring12, ring02, ring01 = (f2_values(f, x, x, y) for x, y in ((l1, l2), (l0, l2), (l0, l1)))
+    e01, e12, e02 = sign1(l1 - l0), sign1(l2 - l1), sign1(l2 - l0)
     rhs = (a[0] * e01 * phi01 + a[1] * e12 * ring12 + a[2] * e02 * ring02
            + a[3] * e01 * ring01 + a[4] * e12 * phi12 + a[5] * e02 * phi02)
     return lhs - rhs

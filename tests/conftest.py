@@ -29,18 +29,29 @@ MP_FUNCS = {
     "exp": mp.exp,
     "abs2": lambda s: s * abs(s),
 }
+MP_DERIVS = {
+    "square": lambda s: 2 * s,
+    "cube": lambda s: 3 * s ** 2,
+    "sin": mp.cos,
+    "cos": lambda s: -mp.sin(s),
+    "exp": mp.exp,
+    "abs2": lambda s: 2 * abs(s),
+}
 
 
-def mp_divdiff(fname, nodes, dps=40):
-    """Bare recursion at dps digits; nodes must not be fully coincident unless
-    the function is polynomial-like."""
-    f = MP_FUNCS[fname]
+def mp_divdiff(fname, nodes, dps=40, as_float=True):
+    """Bare recursion at dps digits.  A coincident pair takes the first
+    derivative, so no node may occur three times.  as_float=False returns the
+    mpf value."""
+    f, fprime = MP_FUNCS[fname], MP_DERIVS[fname]
     with mp.workdps(dps):
         xs = [mp.mpf(str(v)) for v in nodes]
 
         def rec(zs):
             if len(zs) == 1:
                 return f(zs[0])
+            if len(zs) == 2 and zs[0] == zs[1]:
+                return fprime(zs[0])
             # split on the widest gap
             best = None
             for a in range(len(zs)):
@@ -55,7 +66,8 @@ def mp_divdiff(fname, nodes, dps=40):
             zb = [z for i, z in enumerate(zs) if i != b]
             return (rec(za) - rec(zb)) / (zs[b] - zs[a])
 
-        return float(rec(xs))
+        value = rec(xs)
+        return float(value) if as_float else value
 
 
 def mp_phi(q, k, variant, i, j, l, dps=60, as_float=True):

@@ -86,6 +86,45 @@ def test_bad_parameter_is_named_validation_error(argv, capsys):
     assert "error [BadParameter]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("band", ["nan", "inf", "1e300"])
+@pytest.mark.parametrize("operator", [[], ["--operator-n", "8"]])
+def test_decomp_bad_band_is_validation_error(band, operator, capsys):
+    # these printed a residual of 0 (and a garbage operator residual) with exit 0
+    assert main(["decomp", "--f", "sin", "--triples", "3", "--band", band, *operator]) == 2
+    assert "error [BadParameter]" in capsys.readouterr().err
+
+
+def test_decomp_makes_no_per_triple_calls(monkeypatch, capsys):
+    from schurlab import decomp, divdiff
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, fn in (("divided_difference", divdiff.divided_difference),
+                     ("decomposition_residual", decomp.decomposition_residual)):
+        for module in [m for key, m in sys.modules.items() if key.startswith("schurlab")]:
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted(fn))
+    assert main(["decomp", "--f", "sin", "--triples", "2000"]) == 0
+    assert calls == []
+
+
+def test_decomp_csv_independent_of_block_size(tmp_path, monkeypatch, capsys):
+    from schurlab import cli
+    argv = ["decomp", "--f", "abs2", "--triples", "50", "--operator-n", "4", "--trials", "2"]
+    csvs = []
+    for block in (1000, 7):  # one block, then eight (the last partial)
+        monkeypatch.setattr(cli, "DECOMP_BLOCK", block)
+        out = tmp_path / str(block)
+        assert main(["--out", str(out), *argv]) == 0
+        csvs.append((out / "decomp.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+
+
 def test_constants_table_and_manifest(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["--out", str(out), "constants", "table",

@@ -1,16 +1,19 @@
 import hashlib
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from conftest import mp_divdiff
 
-from schurlab.decomp import (SectorPartition, a_symbol, a_tables,
+from schurlab.decomp import (SectorPartition, a_symbol, a_tables, a_values,
                              decomposition_residual, decomposition_residuals,
                              decomposition_tables, f2_table, f2_values, psi,
                              schur_decomposition_residual, sign1, smoothstep,
                              theta, two_var_tables)
 from schurlab.divdiff import divided_difference
-from schurlab.errors import DiagonalQuery, NonFiniteNode, OriginQuery, PoleHit
+from schurlab.errors import (BadParameter, DiagonalQuery, NonFiniteNode, OriginQuery,
+                             PoleHit)
 from schurlab.functions import get_function
 from schurlab.lowerlab import geometric_point_set
 from schurlab.schur import PointSet
@@ -132,15 +135,6 @@ def test_pointwise_residual_all_functions(P, rng):
         assert np.max(np.abs(res) / scale) <= 1e-10, name
 
 
-def test_vectorized_residual_matches_scalar(P, rng):
-    triples = np.asarray(random_triples(rng, 40))
-    for name in ("sin", "abs2"):
-        f = get_function(name)
-        vec = decomposition_residuals(f, triples, P)
-        for row, r in zip(triples, vec):
-            assert r == pytest.approx(decomposition_residual(f, row, P), abs=1e-13)
-
-
 def test_pointwise_residual_spec_instances(P):
     f = get_function("sin")
     assert abs(decomposition_residual(f, (0.1, 0.7, -0.4), P)) <= 1e-10
@@ -236,9 +230,40 @@ def test_sign1_convention():
     np.testing.assert_array_equal(sign1(np.array([-2.0, 0.0, 3.0])), [-1.0, 1.0, 1.0])
 
 
+def test_residuals_reject_diagonal_triples(P):
+    f = get_function("sin")
+    with pytest.raises(DiagonalQuery, match=r"\[\[0.5, 0.5, 0.5\]\]"):
+        decomposition_residuals(f, [(0.1, 0.7, -0.4), (0.5, 0.5, 0.5)], P)
+    with pytest.raises(DiagonalQuery):
+        decomposition_residual(f, (0.5, 0.5, 0.5), P)
+    # a_values still takes the diagonal, which a_tables overwrites
+    tabs = a_tables(PointSet((-1.0, 0.5, 2.0)), P)
+    assert all(np.all(np.isfinite(t)) for t in tabs)
+    assert [t[1, 1, 1] for t in tabs] == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("band", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+def test_partition_rejects_bad_band(band):
+    with pytest.raises(BadParameter, match="band must be positive and finite"):
+        SectorPartition(band=band)
+
+
+def test_partition_rejects_underflowing_normalizer():
+    # every bump underflows to 0 for so wide a band, so theta would be 0/0
+    P = SectorPartition(band=1e300)
+    with pytest.raises(BadParameter, match="normalizing sum"):
+        P.thetas(0.3)
+    with pytest.raises(BadParameter, match="normalizing sum"):
+        decomposition_residuals(get_function("sin"), [(0.1, 0.7, -0.4)], P)
+
+
 # ----------------------------------------------------------------------------
 # frozen values: the partition and the six a_i are evaluated once per angle,
-# and every digit must match the per-sector evaluation they were recorded from
+# and every digit must match the per-sector evaluation they were recorded from.
+# FROZEN_A_SYMBOL and FROZEN_RESIDUAL[square, sin, abs2] were re-recorded when
+# the scalar a_symbol and decomposition_residual began to evaluate a_values
+# (np.arctan2 in place of math.atan2, and -0.0 off the supports), after the
+# new values passed the mpmath oracle below
 # ----------------------------------------------------------------------------
 
 FROZEN_THETA = {
@@ -246,13 +271,13 @@ FROZEN_THETA = {
     2: "2e5e5b1c1939e3f56ac18d107108f2251092118008846aa02ddc95d6cba8ac23",
     3: "e89969c18e7cb7982b6ca3db5d5ed574a0ef968ec8b925e92d443ede164fee31",
 }
-FROZEN_A_SYMBOL = "38626a34354debcb8be2146e0cb9efd16b9d0234ff55facd1770080f02c44c50"
+FROZEN_A_SYMBOL = "a5f5a9206725e1f4a90123264d9100a6eeaefecd133fff1ecf6c1b84ecb04da0"
 FROZEN_RESIDUAL = {
-    "square": "a58802adf4d55b168aac0a0a9f1ee8c97fd61af2b8ceea5c28abe4d9da0e1a32",
+    "square": "48d11bf6b2f39474e970475e398e2d28e52ce3644ee5a507759e78d3c14121f6",
     "cube": "9d87a08411f5dd88a2f36efc9f8ac91b44d65d5e01f785a809db4fc7a9f5619d",
-    "sin": "13638fae350bdbd0f059ac956ba902f78ba364b9403805a79f136d3700b4b46a",
+    "sin": "41227bb721874b15efa676ab6e95c4c805cf627303d5bd2532fa952f60683e52",
     "exp": "383b5d26ff7d20078b155695a240aa2bb48dcab1d83d017ed82c5ff96c3281bd",
-    "abs2": "5c7f55196015d527bc250fa87ebf2627e41674e826737d2865f1d048a6b3fbb5",
+    "abs2": "3a9de8a432ea730ec36022acc8daeb87cef0d75e1d373177b7edec59e3fcfabb",
 }
 FROZEN_A_TABLES = "2bc2d9ec13a45765d8c254059fbb245fc1d441b3d936615588a254fc5cb0d041"
 FROZEN_DECOMPOSITION_TABLES = {
@@ -277,6 +302,96 @@ def _frozen_angles():
 
 def _frozen_triples():
     return random_triples(np.random.default_rng(6), 50)
+
+
+# ----------------------------------------------------------------------------
+# a 40-digit oracle: the smoothstep partition, psi and the sign factors
+# restated in mpmath from the module docstring, with f^[2] from mp_divdiff
+# ----------------------------------------------------------------------------
+
+ORACLE_DPS = 40
+
+
+def _mp_smoothstep(t):
+    if t <= 0:
+        return mp.mpf(0)
+    if t >= 1:
+        return mp.mpf(1)
+    a, b = mp.exp(-1 / t), mp.exp(-1 / (1 - t))
+    return a / (a + b)
+
+
+def _mp_thetas(phi, P):
+    """theta_j = bump_j / sum_k bump_k, each bump a sum over the two arcs
+    (a, b) and (a + pi, b + pi) of the family, pulled epsilon/4 inside."""
+    e, band = mp.mpf(P.epsilon), mp.mpf(P.band)
+    inset = e / 4
+    base = ((-2 * e, mp.pi / 2 + 2 * e), (mp.pi / 2 + e, 3 * mp.pi / 4 + e),
+            (3 * mp.pi / 4 - e, mp.pi - e))
+    bumps = []
+    for a, b in base:
+        total = mp.mpf(0)
+        for shift in (0, mp.pi):
+            d = (phi - a - shift) % (2 * mp.pi)
+            total += _mp_smoothstep((d - inset) / band) \
+                * _mp_smoothstep((b - a - inset - d) / band)
+        bumps.append(total)
+    return [bump / sum(bumps) for bump in bumps]
+
+
+def _mp_signs(l0, l1, l2):
+    """e_1, e_2, e_3: the signs of l1 - l0, l2 - l1, l2 - l0 with sign(0) = 1."""
+    return [1 if d >= 0 else -1 for d in (l1 - l0, l2 - l1, l2 - l0)]
+
+
+def _mp_a(l0, l1, l2, P):
+    """a_1 ... a_6 at an off-diagonal triple of mpf values."""
+    th = _mp_thetas(mp.atan2(l2 - l1, l1 - l0), P)
+    e1, e2, e3 = _mp_signs(l0, l1, l2)
+
+    def th_psi(j, num, den):  # theta_j psi_j and theta_j (1 - psi_j), 0 off supp
+        if th[j] == 0:
+            return mp.mpf(0), mp.mpf(0)
+        return th[j] * num / den, th[j] * (1 - num / den)
+
+    t1, c1 = th_psi(0, l0 - l1, l0 - l2)
+    t2, c2 = th_psi(1, l2 - l0, l2 - l1)
+    t3, c3 = th_psi(2, l1 - l2, l1 - l0)
+    return [e1 * t1, e2 * c1, e3 * t2, e1 * c2, e2 * t3, e3 * c3]
+
+
+def _mp_residual(name, l0, l1, l2, P):
+    """(f^[2] minus its six-term reconstruction, f^[2]) at mpf values."""
+    def f2(*nodes):
+        return mp_divdiff(name, nodes, dps=ORACLE_DPS, as_float=False)
+
+    a, (e1, e2, e3) = _mp_a(l0, l1, l2, P), _mp_signs(l0, l1, l2)
+    lhs = f2(l0, l1, l2)
+    rhs = (a[0] * e1 * f2(l0, l1, l1) + a[1] * e2 * f2(l1, l1, l2)
+           + a[2] * e3 * f2(l0, l0, l2) + a[3] * e1 * f2(l0, l0, l1)
+           + a[4] * e2 * f2(l1, l2, l2) + a[5] * e3 * f2(l0, l2, l2))
+    return lhs - rhs, lhs
+
+
+def test_a_values_against_mp_oracle(P):
+    triples = np.asarray(_frozen_triples())
+    got = np.array(a_values(triples[:, 0], triples[:, 1], triples[:, 2], P)).T
+    with mp.workdps(ORACLE_DPS):
+        want = np.array([[float(v) for v in _mp_a(*map(mp.mpf, t), P)] for t in triples])
+    assert np.max(np.abs(got - want)) <= 2e-14
+
+
+@pytest.mark.parametrize("name", ALL_FUNS)
+def test_decomposition_residuals_against_mp_oracle(P, name):
+    triples = _frozen_triples()
+    got = decomposition_residuals(get_function(name), triples, P)
+    with mp.workdps(ORACLE_DPS):
+        for t, r in zip(triples, got):
+            want, lhs = _mp_residual(name, *map(mp.mpf, t), P)
+            # the six-term identity is exact, so the oracle's own residual
+            # checks its restated a_i
+            assert abs(want) <= mp.mpf("1e-30") * (1 + abs(lhs)), t
+            assert abs(r - float(want)) <= 4e-15 * (1 + float(abs(lhs))), t
 
 
 @pytest.mark.parametrize("j", [1, 2, 3])
