@@ -206,8 +206,7 @@ def cmd_schur(args):
     else:
         X = PointSet.integers(args.n)
     exps = args.p if args.kind == "linear" else (args.p1, args.p2, args.p)
-    est = norm_lower_search(args.kind, sym, X, exps, _budget(args),
-                            threads=args.threads).ratio
+    est = norm_lower_search(args.kind, sym, X, exps, _budget(args)).ratio
     summary = f"{args.kind} {args.symbol} n={X.n}: achieved ratio {est:.9g}"
     _emit(args, "schur", ["kind", "symbol", "n", "p1", "p2", "p", "ratio"],
           [[args.kind, args.symbol, X.n,
@@ -224,8 +223,7 @@ def cmd_lowerlab(args):
               [[rep.variant, rep.q, rep.k, rep.n, rep.max_discrepancy,
                 rep.exponent_gap_bound]], str(rep))
     elif args.action == "sweep":
-        rows = truncation_norm_sweep(_parse_floats(args.plist), args.n,
-                                     _budget(args), threads=args.threads)
+        rows = truncation_norm_sweep(_parse_floats(args.plist), args.n, _budget(args))
         out = [[r.p, r.t_plus_ratio, r.m_plus_ratio] for r in rows]
         summary = "; ".join(f"p={r.p:g}: T+ {r.t_plus_ratio:.6g} M+ {r.m_plus_ratio:.6g}"
                             for r in rows)
@@ -233,8 +231,7 @@ def cmd_lowerlab(args):
               out, summary)
     elif args.action == "b1":
         d = GeometricDiscretization(args.q, args.k, "B1", args.n)
-        rep = theorem_b1_experiment(args.p, args.n, d, _budget(args),
-                                    threads=args.threads)
+        rep = theorem_b1_experiment(args.p, args.n, d, _budget(args))
         summary = (f"b1 p={args.p:g} n={args.n}: nu {rep.nu:.6g}, direct "
                    f"{rep.direct_value:.6g}, implied {rep.implied_bound:.6g}")
         _emit(args, "lowerlab_b1",
@@ -244,8 +241,7 @@ def cmd_lowerlab(args):
                 rep.implied_bound, rep.factorized_value, rep.seed]], summary)
     else:  # b2
         d = GeometricDiscretization(args.q, args.k, "B2", args.n)
-        rep = theorem_b2_experiment(args.p, args.n, d, _budget(args),
-                                    threads=args.threads)
+        rep = theorem_b2_experiment(args.p, args.n, d, _budget(args))
         summary = (f"b2 p={args.p:g} n={args.n}: mu {rep.mu:.6g}, direct "
                    f"{rep.direct_value:.6g}, implied {rep.implied_bound:.6g}")
         _emit(args, "lowerlab_b2",
@@ -328,9 +324,6 @@ def build_parser():
         description="Numerical experiments on bilinear Schur multipliers of "
                     "second-order divided differences.")
     opt(ap, "--seed", type=int, default=0, help="base RNG seed")
-    opt(ap, "--threads", type=int, default=None,
-            help="search pool threads (default: SCHURLAB_THREADS, else one per "
-                 "available CPU for n >= 64 and 1 below)")
     opt(ap, "--out", type=str, default=None, help="output directory")
     opt(ap, "--config", type=str, default=None,
             help="key = value defaults file; explicit flags win")

@@ -126,9 +126,18 @@ class SectorPartition:
         return self.thetas(phi)[_check_sector(j) - 1]
 
 
+def _finite(name: str, *xs) -> list:
+    """The inputs as float arrays; NonFiniteNode naming ``name`` at NaN or inf."""
+    xs = [np.asarray(x, dtype=float) for x in xs]
+    for x in xs:
+        if not np.all(np.isfinite(x)):
+            raise NonFiniteNode(f"{name} needs finite input, got {x[~np.isfinite(x)].tolist()}")
+    return xs
+
+
 def theta(j: int, xi, P: SectorPartition) -> float:
-    """theta_j at a nonzero point of R^2."""
-    x1, x2 = float(xi[0]), float(xi[1])
+    """theta_j at a finite nonzero point of R^2."""
+    x1, x2 = map(float, _finite("theta", xi[0], xi[1]))
     if x1 == 0.0 and x2 == 0.0:
         raise OriginQuery("theta undefined at the origin")
     return float(P.theta_of_angle(j, math.atan2(x2, x1)))
@@ -150,7 +159,7 @@ def _psi_values(l0, l1, l2):
 
 def psi(j: int, triple) -> float:
     """psi_j, the rational Toeplitz interpolation factor."""
-    lam = tuple(float(v) for v in triple)
+    lam = tuple(map(float, _finite(f"psi_{j}", *triple)))
     _, _, c, d = _PSI_DEFS[j]
     if lam[c] == lam[d]:
         raise PoleHit(f"psi_{j} pole at {triple}")
@@ -169,7 +178,7 @@ def a_symbol(i: int, triple, P: SectorPartition) -> float:
     """a_i at an off-diagonal triple, with the zero extension off supp(theta)."""
     if i not in _A_DEFS:
         raise ValueError(f"a_i index must be 1, ..., 6, got {i}")
-    l0, l1, l2 = (float(v) for v in triple)
+    l0, l1, l2 = map(float, _finite(f"a_{i}", *triple))
     if l0 == l1 == l2:
         raise DiagonalQuery(f"a_{i} undefined on the diagonal, got {triple}")
     return float(a_values(l0, l1, l2, P)[int(i) - 1])
@@ -184,10 +193,7 @@ def f2_values(f: ScalarFunction, l0, l1, l2):
     min/max network and passed to the one Newton table, so equal coordinates
     use the derivative conventions and the full diagonal f''/2 (0 for s|s|).
     A NaN or infinite node raises NonFiniteNode."""
-    l0, l1, l2 = (np.asarray(x, float) for x in (l0, l1, l2))
-    for x in (l0, l1, l2):
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteNode(f"nodes must be finite, got {x[~np.isfinite(x)].tolist()}")
+    l0, l1, l2 = _finite("f^[2]", l0, l1, l2)
     lo, hi = np.minimum(l0, l1), np.maximum(l0, l1)
     mid = np.maximum(np.minimum(hi, l2), lo)  # the median of the three
     lo, hi = np.minimum(lo, l2), np.maximum(hi, l2)

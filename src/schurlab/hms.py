@@ -174,6 +174,7 @@ def lemma43_check(n: int, k: int, gamma: int, f: ScalarFunction, samples: int = 
             f"need 0 <= gamma <= min(k, n+1-k) and gamma <= 1, got {gamma}")
     if f.kind == KIND_GENERALIZED_ABS or n + gamma > f.max_order:
         raise OrderUnsupported(f"{f.name} lacks derivatives of order {n + gamma}")
+    sym = symbol_from_divdiff(f, n, k)  # BadParameter unless 1 <= k <= n
     rng = np.random.default_rng(seed)
     lo, hi = box
     lam = rng.uniform(lo, hi, samples)
@@ -183,8 +184,6 @@ def lemma43_check(n: int, k: int, gamma: int, f: ScalarFunction, samples: int = 
     sup_fn = sup_deriv(f, n, min(lo, np.min(mu)), max(hi, np.max(mu)))
     rhs = 2.0 ** gamma * math.factorial(k + gamma - 1) / math.factorial(k - 1) \
         * sup_fn / math.factorial(n)
-    if gamma == 0:
-        lhs = np.abs(divdiff_two_var_grid(f, n, k, lam, mu))
-    else:
-        lhs = np.abs(lam - mu) * np.abs(k * divdiff_two_var_grid(f, n + 1, k + 1, lam, mu))
+    lhs = (np.abs(lam - mu) * np.abs(sym.partial_lam(lam, mu)) if gamma
+           else np.abs(sym.value(lam, mu)))
     return float(np.max(lhs - rhs))

@@ -155,17 +155,24 @@ def _abs2_f2_action(v, a, b) -> np.ndarray:
     return out
 
 
-def limit_symbol(variant: str, i: int, j: int, l: int) -> int:
-    """The k -> infinity limit: B1 gives -1 iff j < min(i, l); B2 sign(l - i)."""
+def _limit_values(variant: str, i, j, l):
+    """The k -> infinity limit on broadcastable index arrays: B1 gives -1 iff
+    j < min(i, l), B2 sign(l - i); 0 at an inadmissible triple (B1: i == j or
+    j == l, B2: i == l)."""
+    i, j, l = np.broadcast_arrays(i, j, l)
     if variant == "B1":
-        if i == j or j == l:
-            raise IndexConstraint("B1 requires i != j and j != l")
-        return -1 if (j < i and j < l) else 1
+        return np.where((i == j) | (j == l), 0.0, np.where((j < i) & (j < l), -1.0, 1.0))
     if variant == "B2":
-        if i == l:
-            raise IndexConstraint("B2 requires i != l")
-        return 1 if i < l else -1
-    raise ValueError(f"variant must be 'B1' or 'B2', got {variant!r}")
+        return np.sign(l - i).astype(float)
+    raise BadParameter(f"variant must be 'B1' or 'B2', got {variant!r}")
+
+
+def limit_symbol(variant: str, i: int, j: int, l: int) -> int:
+    """The limit at one index triple; IndexConstraint at an inadmissible one."""
+    value = int(_limit_values(variant, i, j, l))
+    if value == 0:
+        raise IndexConstraint(f"{variant} index triple ({i}, {j}, {l}) is inadmissible")
+    return value
 
 
 def phi_table(d: GeometricDiscretization) -> np.ndarray:
@@ -186,17 +193,8 @@ def phi_table(d: GeometricDiscretization) -> np.ndarray:
 
 
 def limit_table(variant: str, n: int) -> np.ndarray:
-    idx = np.arange(1, n + 1)
-    i = idx[:, None, None]
-    j = idx[None, :, None]
-    l = idx[None, None, :]
-    if variant == "B1":
-        tab = np.where((j < i) & (j < l), -1.0, 1.0)
-        tab = np.where((j == i) | (j == l), 0.0, tab)
-    else:
-        tab = np.where(i < l, 1.0, np.where(l < i, -1.0, 0.0))
-        tab = np.broadcast_to(tab, (n, n, n)).copy()
-    return tab
+    """(n, n, n) table of the limit symbol; inadmissible triples are 0."""
+    return _limit_values(variant, *np.ogrid[1:n + 1, 1:n + 1, 1:n + 1])
 
 
 @dataclass
@@ -214,29 +212,27 @@ class ConvergenceReport:
                 f"(gap bound {self.exponent_gap_bound:.3e})")
 
 
-def limit_convergence_report(d: GeometricDiscretization, n: int = None) -> ConvergenceReport:
-    """Max |phi_symbol - limit_symbol| over all admissible triples with indices <= n,
-    each distance taken from the factors without cancellation."""
-    n = d.n if n is None else min(n, d.n)
-    dd = GeometricDiscretization(d.q, d.k, d.variant, n)
+def limit_convergence_report(d: GeometricDiscretization) -> ConvergenceReport:
+    """Max |phi_symbol - limit_symbol| over all admissible triples, each
+    distance taken from the factors without cancellation."""
     if d.variant == "B1":
         # per column j: |phi + 1| = 2 (P_ij + P_lj - P_ij P_lj) over i, l > j
         # and |phi - 1| = 2 Q_ij Q_lj over i < j or l < j; both grow with
         # their factors, so their maxima sit at the column maxima of P and Q
         # (the zero diagonal of Q drops i == j and l == j)
-        P, Q, _ = _b1_factors(dd)
+        P, Q, _ = _b1_factors(d)
         a = np.max(np.tril(P, -1), axis=0)
         dist = np.maximum(2.0 * (a + a - a * a),
                           2.0 * np.max(np.triu(Q, 1), axis=0) * np.max(Q, axis=0))
     else:
         # |phi - 1| = 2 Q_il expit(-e_i) for l > i, |phi + 1| = 2 (P_il + Q_il expit(e_i))
-        i, l = _grid(n)
-        P, Q = _gaps(dd, i, l)
+        i, l = _grid(d.n)
+        P, Q = _gaps(d, i, l)
         up, down = _expit_pair(d.k * d.log_q * i)
         dist = np.where(l > i, 2.0 * Q * down, np.where(l < i, 2.0 * (P + Q * up), 0.0))
     # leading correction: 2 q^{k(i-j)} + 2 q^{k(l-j)} for B1 (worst i = l = j+1),
     # 2 q^{k|l-i|} for B2; both bounded by 4 q^k.
-    return ConvergenceReport(d.variant, d.q, d.k, n, float(np.max(dist)), 4.0 * d.q ** d.k)
+    return ConvergenceReport(d.variant, d.q, d.k, d.n, float(np.max(dist)), 4.0 * d.q ** d.k)
 
 
 def volterra_matrix(n: int) -> np.ndarray:
@@ -268,17 +264,14 @@ class SweepRow:
     m_plus_ratio: float
 
 
-def truncation_norm_sweep(p_list, n: int, budget: Budget = Budget(),
-                          threads: int | None = None) -> list:
+def truncation_norm_sweep(p_list, n: int, budget: Budget = Budget()) -> list:
     """Best achieved S_p ratios for T+ and M+ on the integer point set."""
     X = PointSet.integers(n)
     seeds = volterra_candidates(n)
     rows = []
     for p in p_list:
-        t_plus = norm_lower_search("linear", truncation_symbol("+"), X, p,
-                                   budget, seeds=seeds, threads=threads).ratio
-        mp = norm_lower_search("linear", m_plus_symbol(), X, p,
-                               budget, seeds=seeds, threads=threads).ratio
+        t_plus, mp = (norm_lower_search("linear", sym, X, p, budget, seeds=seeds).ratio
+                      for sym in (truncation_symbol("+"), m_plus_symbol()))
         rows.append(SweepRow(float(p), t_plus, mp))
     return rows
 
@@ -298,12 +291,12 @@ class B1Report:
 
 
 def theorem_b1_experiment(p: float, n: int, d: GeometricDiscretization,
-                          budget: Budget = Budget(), threads: int | None = None) -> B1Report:
+                          budget: Budget = Budget()) -> B1Report:
     if d.variant != "B1":
         raise IndexConstraint("theorem_b1_experiment needs a B1 discretization")
     X = PointSet.integers(n)
     search = norm_lower_search("linear", m_plus_symbol(), X, 2 * p, budget,
-                               seeds=volterra_candidates(n), threads=threads)
+                               seeds=volterra_candidates(n))
     x = search.witness[0]
     xo = x - diagonal_part(x)          # (1 - P) x
     y = xo.conj().T                    # (1 - P) x^*
@@ -335,14 +328,14 @@ class B2Report:
 
 
 def theorem_b2_experiment(p: float, n: int, d: GeometricDiscretization,
-                          budget: Budget = Budget(), threads: int | None = None) -> B2Report:
+                          budget: Budget = Budget()) -> B2Report:
     from .matrixnum import holder_split
 
     if d.variant != "B2":
         raise IndexConstraint("theorem_b2_experiment needs a B2 discretization")
     X = PointSet.integers(n)
     search = norm_lower_search("linear", m_plus_symbol(), X, p, budget,
-                               seeds=volterra_candidates(n), threads=threads)
+                               seeds=volterra_candidates(n))
     z = search.witness[0]
     z = z / schatten_norm(z, p)
     mplus_value = schatten_norm(m_plus(z, X), p)

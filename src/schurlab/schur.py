@@ -460,39 +460,36 @@ def _one_blas_thread():
 POOL_MIN_N = 64
 
 
-def _pool_threads(n: int, jobs: int, threads: int | None) -> int:
-    """Pool threads of a search over ``jobs`` jobs at size n; BadBudget for a
-    thread count that is not an integer >= 1."""
-    name = "threads"
+def _pool_threads(n: int, jobs: int) -> int:
+    """Pool threads of a search over ``jobs`` jobs at size n: SCHURLAB_THREADS
+    if set (BadBudget unless it is an integer >= 1), else one per available
+    CPU (at most one per job) when n >= POOL_MIN_N, else 1."""
+    threads = os.environ.get("SCHURLAB_THREADS")
     if threads is None:
-        threads = os.environ.get("SCHURLAB_THREADS")
-        if threads is None:
-            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                    else os.cpu_count() or 1)
-            return min(cpus, jobs) if n >= POOL_MIN_N else 1
-        name = "SCHURLAB_THREADS"
-        with suppress(ValueError):
-            threads = int(threads)
-    check_count(name, threads)
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        return min(cpus, jobs) if n >= POOL_MIN_N else 1
+    with suppress(ValueError):
+        threads = int(threads)
+    check_count("SCHURLAB_THREADS", threads)
     return threads
 
 
 def norm_lower_search(kind: str, m, X: PointSet, exponents, budget: Budget = Budget(),
-                      seeds: Sequence = (), threads: int | None = None) -> EstimateResult:
+                      seeds: Sequence = ()) -> EstimateResult:
     """Best achieved ratio over seeded candidates plus Gaussian restarts.
 
     The jobs (seeds, then restarts; ``per_restart`` keeps this order) run on
-    ``threads`` pool threads; None means SCHURLAB_THREADS if set, else one
-    per available CPU (at most one per job) when n >= POOL_MIN_N, else 1.
-    Restart r draws its start from default_rng([budget.seed, r]), so the
-    result is independent of how restarts are distributed over threads;
-    numpy's bundled OpenBLAS runs on one thread meanwhile, which makes it
-    independent of the BLAS thread setting too.  A seed with a zero matrix
-    is a BadParameter.  A seed without imaginary parts on a table without
-    them (real dtype or all-zero imaginary part) runs in float64.
+    ``_pool_threads`` pool threads.  Restart r draws its start from
+    default_rng([budget.seed, r]), so the result is independent of how
+    restarts are distributed over threads; numpy's bundled OpenBLAS runs on
+    one thread meanwhile, which makes it independent of the BLAS thread
+    setting too.  A seed with a zero matrix is a BadParameter.  A seed
+    without imaginary parts on a table without them (real dtype or all-zero
+    imaginary part) runs in float64.
     """
     n = X.n
-    workers = _pool_threads(n, len(seeds) + budget.restarts, threads)
+    workers = _pool_threads(n, len(seeds) + budget.restarts)
     if kind == "linear":
         (p,) = tuple(np.atleast_1d(exponents)) if np.ndim(exponents) else (exponents,)
         qs = (p,)

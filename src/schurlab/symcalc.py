@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .decomp import SectorPartition, smoothstep
+from .decomp import SectorPartition, a_values, smoothstep
 from .errors import BadGrid, NonFiniteNode, OriginQuery, SupportViolation, check_count
 
 _I_POWERS = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
@@ -301,21 +301,18 @@ def s1_factorize(m: HomogeneousSymbol, quadrant=( -1, 1), S: float = 40.0,
 
 def a_base_profile(P: SectorPartition, which: int, sigma: int) -> HomogeneousSymbol:
     """Circle profile of the Toeplitz base of a_which (which in 3..6) restricted
-    to the quadrant (-sigma R_+, sigma R_+)."""
+    to the quadrant (-sigma R_+, sigma R_+): decomp.a_values at the triple
+    (-cos th, 0, sin th), whose gaps (l1 - l0, l2 - l1) are (cos th, sin th),
+    evaluated at the angles inside the quadrant only, and 0 elsewhere."""
     if which not in (3, 4, 5, 6):
         raise ValueError("which must be one of 3, 4, 5, 6")
 
-    sector = 2 if which in (3, 4) else 3
-
     def profile(th):
         th = np.asarray(th, dtype=float)
-        c, s = np.cos(th), np.sin(th)
-        u = c + s
-        # factor = num/den signed by sgn (+ at sgn = 0), and 0 where den = 0
-        num, den, sgn = {3: (u, s, u), 4: (-c, s, c), 5: (-s, c, s), 6: (u, c, u)}[which]
-        factor = np.where(sgn >= 0, 1.0, -1.0) * np.where(den != 0, num / np.where(den != 0, den, 1.0), 0.0)
-        mask = _quadrant_mask(th, -sigma, sigma)
-        return np.where(mask, P.theta_of_angle(sector, th) * factor, 0.0)
+        inside = _quadrant_mask(th, -sigma, sigma)
+        out = np.zeros(th.shape)
+        out[inside] = a_values(-np.cos(th[inside]), 0.0, np.sin(th[inside]), P)[which - 1]
+        return out
 
     return HomogeneousSymbol(profile, "none")
 

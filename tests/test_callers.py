@@ -40,3 +40,65 @@ def test_every_public_name_has_a_caller():
               if node.name not in ACCEPTANCE_NAMES | readme
               and mentions[node.name] == Counter(_identifiers(node))[node.name]]
     assert not unused, f"public names that nothing but their tests call: {unused}"
+
+
+# Defaulted parameters that only tests set; a new knob must earn a caller in
+# src/ or perfbench/, or be documented in README.md as `function.parameter`.
+TEST_ONLY_KNOBS = {
+    "DyadicSystem.omega", "GridSpec.margin", "bk_bound_check.l", "kernel_eval.K",
+    "kernel_gradient.K", "lemma43_check.samples", "lemma43_check.box",
+    "lemma43_check.seed", "make_ks_symbol.sigma", "random_admissible_spec.n_cubes",
+    "size_smoothness_check.n_angles", "divdiff_partial.which", "divdiff_partial.tol",
+    "node_insertion_split.tol", "bump_symbol.arc", "bump_symbol.width",
+    "coeff_tail_bound.factor", "haar_reconstruction.top",
+}
+
+
+def _is_dataclass(node):
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _defaulted(node):
+    """(positional parameters in order, names of the defaulted ones) of a
+    top-level function or dataclass."""
+    if isinstance(node, ast.ClassDef):
+        fields = [s for s in node.body
+                  if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+        return ([s.target.id for s in fields],
+                {s.target.id for s in fields if s.value is not None})
+    a = node.args
+    positional = [p.arg for p in a.posonlyargs + a.args]
+    defaulted = set(positional[len(positional) - len(a.defaults):])
+    defaulted |= {p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None}
+    return positional, defaulted
+
+
+def test_every_defaulted_parameter_is_set_somewhere():
+    defs = {}
+    for path in sorted((ROOT / "src" / "schurlab").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if (isinstance(node, ast.FunctionDef) or isinstance(node, ast.ClassDef)
+                    and _is_dataclass(node)) and not node.name.startswith("_"):
+                defs[node.name] = _defaulted(node)
+    set_by_calls = set()
+    for path in [*sorted((ROOT / "src" / "schurlab").glob("*.py")),
+                 *sorted((ROOT / "perfbench").glob("*.py"))]:
+        for call in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            if name not in defs:
+                continue
+            positional, defaulted = defs[name]
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            given = set(positional if starred else positional[:len(call.args)])
+            for kw in call.keywords:  # **mapping may set any parameter
+                given |= {kw.arg} if kw.arg else defaulted
+            set_by_calls |= {f"{name}.{p}" for p in given & defaulted}
+    readme = set(re.findall(r"\w+\.\w+", (ROOT / "README.md").read_text()))
+    knobs = {f"{name}.{p}" for name, (_, defaulted) in defs.items() for p in defaulted}
+    assert TEST_ONLY_KNOBS <= knobs, f"stale entries: {TEST_ONLY_KNOBS - knobs}"
+    unset = sorted(knobs - set_by_calls - TEST_ONLY_KNOBS - readme)
+    assert not unset, f"defaulted parameters that nothing but tests set: {unset}"

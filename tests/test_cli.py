@@ -281,29 +281,31 @@ COUNT_OPTIONS = (
     (["hms", "--grid-points"], 2),
     (["constants", "table", "--points-per-decade"], 1),
     (["symcalc", "kernel", "--K"], 1),
-    (["--threads"], 1, "schur", "--n", "4", "--restarts", "1", "--iterations", "2"),
 )
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(COUNT_OPTIONS), st.integers(max_value=0))
 def test_nonpositive_count_is_bad_budget(option, below):
-    argv, least, *command = option  # a top-level option precedes its command
+    argv, least = option
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        assert main(argv + [str(least - 1 + below)] + command) == 2
+        assert main(argv + [str(least - 1 + below)]) == 2
     assert "BadBudget" in err.getvalue()
 
 
-def _cli_csvs(out, argvs, blas_threads="1", top=()):
-    """CSV bytes of the CLI runs of ``argvs`` in fresh processes."""
+def _cli_csvs(out, argvs, blas_threads="1", pool_threads=None):
+    """CSV bytes of the CLI runs of ``argvs`` in fresh processes, with
+    SCHURLAB_THREADS set to ``pool_threads`` (unset for None)."""
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
                PYTHONPATH=os.pathsep.join(filter(None, path)))
     env.pop("SCHURLAB_THREADS", None)
+    if pool_threads is not None:
+        env["SCHURLAB_THREADS"] = pool_threads
     for argv in argvs:
         subprocess.run([sys.executable, "-m", "schurlab.cli", "--seed", "0",
-                        "--out", str(out), *top] + argv, env=env, check=True,
+                        "--out", str(out)] + argv, env=env, check=True,
                        capture_output=True, timeout=300)
     return {c.name: c.read_bytes() for c in sorted(out.glob("*.csv"))}
 
@@ -320,8 +322,22 @@ def test_csvs_independent_of_blas_threads(tmp_path):
     assert sorted(runs["1"]) == ["decomp.csv", "extrapolate.csv", "lowerlab_b1.csv",
                                  "lowerlab_b2.csv"]
     assert runs["1"] == runs["2"]
-    serial = _cli_csvs(tmp_path / "serial", experiments, top=["--threads", "1"])
+    serial = _cli_csvs(tmp_path / "serial", experiments, pool_threads="1")
     assert serial == {k: v for k, v in runs["1"].items() if k.startswith("lowerlab")}
+
+
+def test_threads_option_is_gone(tmp_path, capsys):
+    # SCHURLAB_THREADS is the one pool-thread setting: no flag, no config key
+    argv = ["schur", "--n", "4", "--restarts", "1", "--iterations", "2"]
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "1"] + argv)
+    assert exc.value.code == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("threads = 1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg)] + argv)
+    assert exc.value.code == 2
+    assert "no option is named 'threads'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-3"])

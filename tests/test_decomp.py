@@ -484,3 +484,21 @@ def test_f2_values_rejects_non_finite_nodes(P, bad):
         decomposition_residual(f, (0.1, bad, 0.5), P)
     with pytest.raises(NonFiniteNode):
         decomposition_residuals(f, [(0.1, 0.7, -0.4), (0.1, bad, 0.5)], P)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("slot", [0, 1, 2])
+def test_scalar_queries_reject_non_finite_input(P, bad, slot):
+    # psi used to return nan, a_symbol nan with RuntimeWarnings at inf, and
+    # a_symbol and theta a BadParameter on the partition at nan
+    triple = [0.0, 1.0, 2.5]
+    triple[slot] = bad
+    with pytest.raises(NonFiniteNode, match="psi_1"):
+        psi(1, triple)
+    with pytest.raises(NonFiniteNode, match="a_3"):
+        a_symbol(3, triple, P)
+    if slot < 2:
+        xi = [1.0, -0.5]
+        xi[slot] = bad
+        with pytest.raises(NonFiniteNode, match="theta"):
+            theta(2, xi, P)

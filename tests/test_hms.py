@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from schurlab.errors import BadBudget, BadGrid, DiagonalMargin, OrderUnsupported
+from schurlab.errors import (BadBudget, BadGrid, BadParameter, DiagonalMargin,
+                             OrderUnsupported)
 from schurlab.functions import get_function
 from schurlab.hms import (GridSpec, TwoVariableSymbol, hms_norm,
                           hms_theorem_bound, lemma43_check, make_ks_symbol,
@@ -70,6 +71,15 @@ def test_abs2_symbol_uses_fd_fallback():
     assert val <= hms_theorem_bound(2, 1, get_function("abs2"))
 
 
+# lemma43_check before it took phi and d_lam phi from symbol_from_divdiff
+_FROZEN_LEMMA43 = [
+    ((2, 1, 1, "square", 200), -1.9999999999974665),
+    ((2, 1, 0, "cube", 2000), -0.4278424719595879),
+    ((2, 1, 1, "sin", 10000), -0.5639893938806084),
+    ((3, 1, 1, "exp", 2000), -43.0602213060096),
+]
+
+
 def test_lemma43_trivial_and_derived():
     # flat phi: lhs is identically zero, so the gap is the full bound
     v = lemma43_check(2, 1, 1, get_function("square"), samples=200)
@@ -80,6 +90,19 @@ def test_lemma43_trivial_and_derived():
     assert v <= 1e-9
     v = lemma43_check(3, 1, 1, get_function("exp"), samples=2000)
     assert v <= 1e-9
+
+
+@pytest.mark.parametrize("args, frozen", _FROZEN_LEMMA43)
+def test_lemma43_values_frozen(args, frozen):
+    n, k, gamma, name, samples = args
+    assert lemma43_check(n, k, gamma, get_function(name), samples=samples) == frozen
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_lemma43_rejects_k_outside_1_to_n(k):
+    # k = 0 used to fail in math.factorial, and k = n + 1 lies outside the lemma
+    with pytest.raises(BadParameter, match="1 <= k <= n"):
+        lemma43_check(2, k, 0, get_function("sin"))
 
 
 def test_lemma43_rejects_bad_gamma():

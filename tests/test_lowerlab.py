@@ -85,6 +85,38 @@ def test_limit_symbol_cases():
         phi_symbol(GeometricDiscretization(0.5, 10, "B1", 5), 1, 1, 2)
 
 
+def _limit_table_formula(variant, n):
+    """The broadcast limit table as limit_table built it before it shared
+    _limit_values with limit_symbol."""
+    idx = np.arange(1, n + 1)
+    i, j, l = idx[:, None, None], idx[None, :, None], idx[None, None, :]
+    if variant == "B1":
+        tab = np.where((j < i) & (j < l), -1.0, 1.0)
+        return np.where((j == i) | (j == l), 0.0, tab)
+    tab = np.where(i < l, 1.0, np.where(l < i, -1.0, 0.0))
+    return np.broadcast_to(tab, (n, n, n)).copy()
+
+
+@pytest.mark.parametrize("variant", ["B1", "B2"])
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_limit_table_equals_broadcast_formula(variant, n):
+    tab = limit_table(variant, n)
+    ref = _limit_table_formula(variant, n)
+    assert tab.shape == ref.shape and tab.dtype == ref.dtype
+    assert np.array_equal(tab, ref)
+    for i, j, l in np.ndindex(n, n, n):
+        if tab[i, j, l]:
+            assert limit_symbol(variant, i + 1, j + 1, l + 1) == tab[i, j, l]
+
+
+def test_unknown_variant_is_bad_parameter():
+    # limit_table used to return the B2 table for any variant but "B1"
+    with pytest.raises(BadParameter, match="B3"):
+        limit_symbol("B3", 1, 2, 3)
+    with pytest.raises(BadParameter, match="B3"):
+        limit_table("B3", 4)
+
+
 def test_limit_convergence():
     for variant in ("B1", "B2"):
         rep = limit_convergence_report(GeometricDiscretization(0.5, 40, variant, 5))
@@ -470,7 +502,7 @@ def _traced_peak_mb(call):
         tracemalloc.stop()
 
 
-def test_n3_builds_hold_no_n3_temporaries():
+def test_n3_builds_hold_no_n3_temporaries(monkeypatch):
     # at n = 128 a complex n^3 table is 32 MB and a real one 16 MB; the
     # one-shot builds peaked at 212 MB (f^[2] table and action) and 81 MB (B1),
     # and the B1 experiment at 22.8 MB with a stored table.  The extrapolation
@@ -481,8 +513,8 @@ def test_n3_builds_hold_no_n3_temporaries():
         assert _traced_peak_mb(lambda: phi_table(d)) < 32
     # the B1 experiment builds no table: a stored one is 16 MB
     d = GeometricDiscretization(0.5, 40, "B1", 128)
-    assert _traced_peak_mb(lambda: theorem_b1_experiment(16, 128, d, Budget(1, 10),
-                                                         threads=1)) < 12
+    monkeypatch.setenv("SCHURLAB_THREADS", "1")
+    assert _traced_peak_mb(lambda: theorem_b1_experiment(16, 128, d, Budget(1, 10))) < 12
     # the B1 limit report takes column maxima of P and Q: it peaked at 50.5 MB
     # with its n^3 distance arrays
     assert _traced_peak_mb(lambda: limit_convergence_report(d)) < 2

@@ -191,12 +191,13 @@ def test_restriction_monotonicity(rng):
     assert linear_ratio(sym, X, padded, p) >= res.ratio - 1e-12
 
 
-def test_determinism_and_threads():
+def test_determinism_and_threads(monkeypatch):
     X = PointSet.integers(6)
     sym = m_plus_symbol()
     a = norm_lower_search("linear", sym, X, 4.0, Budget(8, 25, 42)).ratio
     b = norm_lower_search("linear", sym, X, 4.0, Budget(8, 25, 42)).ratio
-    c = norm_lower_search("linear", sym, X, 4.0, Budget(8, 25, 42), threads=4).ratio
+    monkeypatch.setenv("SCHURLAB_THREADS", "4")
+    c = norm_lower_search("linear", sym, X, 4.0, Budget(8, 25, 42)).ratio
     assert a == b == c
 
 
@@ -208,19 +209,12 @@ def test_pool_gate(monkeypatch, cpus, jobs):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
     assert schur.POOL_MIN_N == 64
-    assert schur._pool_threads(63, jobs, None) == 1
-    assert schur._pool_threads(64, jobs, None) == min(cpus, jobs)
-    assert schur._pool_threads(64, jobs, 1) == 1
+    assert schur._pool_threads(63, jobs) == 1
+    assert schur._pool_threads(64, jobs) == min(cpus, jobs)
     monkeypatch.setenv("SCHURLAB_THREADS", "1")
-    assert schur._pool_threads(128, jobs, None) == 1
-    assert schur._pool_threads(8, jobs, 3) == 3
-
-
-@pytest.mark.parametrize("threads", [0, -3, 2.0, True])
-def test_bad_thread_count_is_bad_budget(threads):
-    with pytest.raises(BadBudget, match="threads"):
-        norm_lower_search("linear", m_plus_symbol(), PointSet.integers(4), 4.0,
-                          Budget(1, 2), threads=threads)
+    assert schur._pool_threads(128, jobs) == 1
+    monkeypatch.setenv("SCHURLAB_THREADS", "3")
+    assert schur._pool_threads(8, jobs) == 3
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", ""])
@@ -235,7 +229,9 @@ def _pooled_and_serial(monkeypatch, *args, **kwargs):
     """The search with the default pool (two CPUs available) and with one thread."""
     monkeypatch.delenv("SCHURLAB_THREADS", raising=False)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    return [norm_lower_search(*args, **kwargs, threads=t) for t in (None, 1)]
+    pooled = norm_lower_search(*args, **kwargs)
+    monkeypatch.setenv("SCHURLAB_THREADS", "1")
+    return [pooled, norm_lower_search(*args, **kwargs)]
 
 
 def _same_bits(a, b):
@@ -365,7 +361,7 @@ def test_gram_path_certified_by_svd(rng):
     assert linear_ratio(m_plus_symbol(), X, x, 8.0) == pytest.approx(res.ratio, rel=1e-13)
 
 
-def test_search_restores_blas_threads():
+def test_search_restores_blas_threads(monkeypatch):
     api = schur._openblas_threads_api()
     if api is None:
         pytest.skip("no bundled OpenBLAS thread control")
@@ -377,8 +373,8 @@ def test_search_restores_blas_threads():
             assert get() == 1
         assert get() == 1
     assert get() == before
-    norm_lower_search("linear", m_plus_symbol(), PointSet.integers(8), 4.0,
-                      Budget(2, 5, 0), threads=2)
+    monkeypatch.setenv("SCHURLAB_THREADS", "2")
+    norm_lower_search("linear", m_plus_symbol(), PointSet.integers(8), 4.0, Budget(2, 5, 0))
     assert get() == before
 
 

@@ -235,6 +235,36 @@ def test_corollary52_constants_finite_and_repeatable():
         assert f_p.C_m == pytest.approx(f_m.C_m, rel=1e-10)
 
 
+def _a_closed_form(P, which, sigma, th):
+    """The a_3..a_6 profiles as closed forms in c = cos th, s = sin th and
+    u = c + s: a signed ratio (sign(0) = +1, 0 where the denominator is 0)
+    times theta_2 or theta_3, on the quadrant (-sigma R_+, sigma R_+) only."""
+    c, s = np.cos(th), np.sin(th)
+    u = c + s
+    num, den, sgn = {3: (u, s, u), 4: (-c, s, c), 5: (-s, c, s), 6: (u, c, u)}[which]
+    ratio = np.where(sgn >= 0, 1.0, -1.0) * np.divide(num, den, out=np.zeros(th.shape),
+                                                       where=den != 0)
+    sector = 2 if which in (3, 4) else 3
+    inside = (-sigma * c > 0) & (sigma * s > 0)
+    return np.where(inside, P.theta_of_angle(sector, th) * ratio, 0.0)
+
+
+@pytest.mark.parametrize("sigma", [1, -1])
+@pytest.mark.parametrize("which", [3, 4, 5, 6])
+def test_a_base_profile_matches_closed_form(which, sigma):
+    # the profile goes through decomp.a_values; the closed forms are its oracle
+    P = SectorPartition()
+    th = TWO_PI * np.arange(4096) / 4096
+    vals = a_base_profile(P, which, sigma).profile(th)
+    assert np.max(np.abs(vals - _a_closed_form(P, which, sigma, th))) <= 1e-13
+    outside = ~((-sigma * np.cos(th) > 0) & (sigma * np.sin(th) > 0))
+    assert np.all(vals[outside] == 0.0)
+    for t in th[[0, 1300, 1500, 3500, 3700]]:  # a 0-d angle gives a 0-d value
+        one = a_base_profile(P, which, sigma).profile(np.float64(t))
+        assert np.shape(one) == ()
+        assert abs(one - _a_closed_form(P, which, sigma, np.asarray(t))) <= 1e-13
+
+
 def test_a_base_profiles_live_in_their_quadrant():
     P = SectorPartition()
     th = np.linspace(0, 2 * math.pi, 4096, endpoint=False)
