@@ -55,7 +55,7 @@ def smoothstep(t):
 
 def _check_sector(j) -> int:
     if j not in (1, 2, 3):
-        raise ValueError(f"sector index must be 1, 2 or 3, got {j}")
+        raise BadParameter(f"sector index must be 1, 2 or 3, got {j}")
     return int(j)
 
 
@@ -74,6 +74,11 @@ class SectorPartition:
     supports overlapping.  ``thetas`` gives all three theta_j from one pass
     over the six bumps (three sectors at phi and phi + pi) and one normalizing
     sum; it raises BadParameter where so wide a band underflows that sum to 0.
+
+    Off the ramps where some smoothstep argument lies in (0, 1), each theta_j
+    is a constant 0, 1/2 or 1.  The instance keeps the sorted piece edges of
+    [0, 2pi) and the constants of the flat pieces, each taken from the formula
+    at the piece midpoint, so ``thetas`` runs the formula on the ramps only.
     """
 
     epsilon: float = math.pi / 32
@@ -86,6 +91,7 @@ class SectorPartition:
             object.__setattr__(self, "band", self.epsilon / 2)
         if not (math.isfinite(self.band) and self.band > 0):
             raise BadParameter(f"band must be positive and finite, got {self.band}")
+        object.__setattr__(self, "_pieces", self._flat_pieces())
 
     def arcs(self, j: int):
         _check_sector(j)
@@ -98,28 +104,55 @@ class SectorPartition:
             base = [(3 * math.pi / 4 - e, math.pi - e)]
         return base + [(a + math.pi, b + math.pi) for a, b in base]
 
-    def _bump(self, j: int, phi):
-        """Raw bump of sector j on angle array phi (no symmetrization)."""
-        phi = np.asarray(phi, dtype=float)
-        out = np.zeros_like(phi)
+    def _formula(self, phi):
+        """(numerators (3, m), normalizing sum (m,)) of the theta_j on a 1-d
+        angle array: the twelve arc smoothsteps at phi and phi + pi in one pass."""
+        arcs = np.array([self.arcs(j) for j in (1, 2, 3)])  # (sector, arc, end)
+        start, length = arcs[..., 0, None], (arcs[..., 1] - arcs[..., 0])[..., None]
         inset = self.epsilon / 4
-        for a, b in self.arcs(j):
-            length = b - a
-            d = np.mod(phi - a, TWO_PI)
-            out = out + smoothstep((d - inset) / self.band) \
-                * smoothstep((length - inset - d) / self.band)
-        return out
+        d = np.mod(np.stack([phi, phi + math.pi])[:, None, None] - start, TWO_PI)
+        s = smoothstep(np.stack([(d - inset) / self.band,
+                                 (length - inset - d) / self.band]))
+        bumps = s[0] * s[1]  # (phi or phi + pi, sector, arc, m)
+        nums = 0.5 * (bumps[0, :, 0] + bumps[0, :, 1] + (bumps[1, :, 0] + bumps[1, :, 1]))
+        return nums, (nums[0] + nums[1]) + nums[2]
+
+    def _flat_pieces(self):
+        """(ends, table): the sorted right ends of the pieces of [0, 2pi), and
+        theta_j on the piece searchsorted(ends, ., 'right') in a (3, pieces + 1)
+        table that holds NaN on the ramps (widened by 1e-9), where the
+        normalizing sum is 0, and at 2pi itself."""
+        # the arcs come in pairs pi apart, so phi + pi has the ramps of phi
+        arcs = np.array([self.arcs(j) for j in (1, 2, 3)]).reshape(-1, 2)
+        inset, width = self.epsilon / 4, self.band + 2e-9
+        ramps = np.concatenate([arcs[:, 0] + inset, arcs[:, 1] - inset - self.band])
+        lo = np.mod(ramps - 1e-9, TWO_PI)
+        edges = np.sort(np.concatenate([[0.0, TWO_PI], lo, np.mod(lo + width, TWO_PI)]))
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        nums, den = self._formula(mid)
+        vals = np.divide(nums, den, out=np.full_like(nums, np.nan), where=den > 0)
+        vals[:, np.any(np.mod(mid[:, None] - lo, TWO_PI) <= width, axis=1)] = np.nan
+        return edges[1:], np.concatenate([vals, np.full((3, 1), np.nan)], axis=1)
 
     def thetas(self, phi):
-        """(theta_1, theta_2, theta_3) of the angle; even by explicit symmetrization."""
+        """(theta_1, theta_2, theta_3) of the angle; even by explicit symmetrization.
+        The formula runs on the ramp angles and on |phi| > 4pi, where phi - a
+        no longer rounds like mod(phi, 2pi) - a; the rest is looked up."""
         phi = np.asarray(phi, dtype=float)
-        nums = [0.5 * (self._bump(k, phi) + self._bump(k, phi + math.pi))
-                for k in (1, 2, 3)]
-        den = nums[0] + nums[1] + nums[2]
-        zero = den <= 0.0
-        if np.any(zero):
-            raise BadParameter(f"normalizing sum 0 at angle {phi[zero].flat[0]}, band {self.band}")
-        return tuple(num / den for num in nums)
+        ends, table = self._pieces
+        idx = np.searchsorted(ends, np.mod(phi, TWO_PI), side="right")
+        # three arrays, not one (3, ...) block, which raised peak RSS through heap layout
+        out = [np.asarray(row[idx]) for row in table]
+        ramp = np.isnan(out[0]) | ~(np.abs(phi) <= 2 * TWO_PI)
+        if np.any(ramp):
+            nums, den = self._formula(phi[ramp])
+            zero = den <= 0.0
+            if np.any(zero):
+                raise BadParameter(f"normalizing sum 0 at angle {phi[ramp][zero][0]}, "
+                                   f"band {self.band}")
+            for th, num in zip(out, nums):
+                th[ramp] = num / den
+        return tuple(th[()] for th in out)
 
     def theta_of_angle(self, j: int, phi):
         """theta_j as a function of the angle."""
@@ -177,7 +210,7 @@ _A_DEFS = {
 def a_symbol(i: int, triple, P: SectorPartition) -> float:
     """a_i at an off-diagonal triple, with the zero extension off supp(theta)."""
     if i not in _A_DEFS:
-        raise ValueError(f"a_i index must be 1, ..., 6, got {i}")
+        raise BadParameter(f"a_i index must be 1, ..., 6, got {i}")
     l0, l1, l2 = map(float, _finite(f"a_{i}", *triple))
     if l0 == l1 == l2:
         raise DiagonalQuery(f"a_{i} undefined on the diagonal, got {triple}")

@@ -93,5 +93,5 @@ class BadGrid(SchurLabError):
 class BadParameter(SchurLabError, ValueError):
     """A model parameter outside its admissible range: a divided-difference
     slot k, a discretization ratio q, a sector overlap epsilon, a dyadic
-    scale range or the labels of a point set.  Also a ValueError, as these
-    checks raised before."""
+    scale range, the labels of a point set, or a sector, a_i, quadrant or
+    parity index.  Also a ValueError, as these checks raised before."""

@@ -158,8 +158,10 @@ def hms_norm(sym: TwoVariableSymbol, grid: GridSpec = GridSpec()) -> HmsReport:
 
 def hms_theorem_bound(n: int, k: int, f: ScalarFunction, interval=(-5.0, 5.0)) -> float:
     """(2n+3)/n! * sup|f^(n)| with the sup estimated on the given interval."""
-    if n < 1 or not 1 <= k <= n:
-        raise OrderUnsupported(f"need n >= 1 and 1 <= k <= n, got n={n}, k={k}")
+    if n < 1:
+        raise OrderUnsupported(f"need n >= 1, got n={n}")
+    if not 1 <= k <= n:
+        raise BadParameter(f"need 1 <= k <= n, got k={k}, n={n}")
     if f.kind != KIND_GENERALIZED_ABS and n > f.max_order:
         raise OrderUnsupported(f"{f.name} has no derivative of order {n}")
     return (2 * n + 3) / math.factorial(n) * sup_deriv(f, n, *interval)

@@ -25,7 +25,8 @@ from typing import Callable
 import numpy as np
 
 from .decomp import SectorPartition, a_values, smoothstep
-from .errors import BadGrid, NonFiniteNode, OriginQuery, SupportViolation, check_count
+from .errors import (BadGrid, BadParameter, NonFiniteNode, OriginQuery, SupportViolation,
+                     check_count)
 
 _I_POWERS = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
 _SUPPORT_TOL = 1e-12  # largest |m| a profile may keep outside its quadrant
@@ -41,7 +42,7 @@ class HomogeneousSymbol:
 
     def __post_init__(self):
         if self.parity not in ("even", "odd", "none"):
-            raise ValueError(f"parity must be even/odd/none, got {self.parity!r}")
+            raise BadParameter(f"parity must be even/odd/none, got {self.parity!r}")
         if self.parity != "none":
             th = np.linspace(0.0, TWO_PI, 64, endpoint=False)
             a = np.asarray(self.profile(th), dtype=complex)
@@ -49,7 +50,7 @@ class HomogeneousSymbol:
             sgn = 1.0 if self.parity == "even" else -1.0
             scale = 1.0 + np.max(np.abs(a))
             if np.max(np.abs(b - sgn * a)) > 1e-12 * scale:
-                raise ValueError(f"profile does not have parity {self.parity!r}")
+                raise BadParameter(f"profile does not have parity {self.parity!r}")
 
     def __call__(self, xi1, xi2):
         xi1 = np.asarray(xi1, dtype=float)
@@ -141,7 +142,7 @@ def _phase_sum(x, s0: float, ds: float, c):
     return out.reshape(c.shape[:-1] + x.shape)
 
 
-def _kernel_terms(m, z, K, coeffs):
+def _kernel_terms(m, z, K, coeffs=None):
     """|z|, arg z, and the kernel sums sum_k c_k e^{ik arg z}, sum_k k c_k e^{ik arg z}."""
     ks, c = (circle_fourier_coeffs(m, K) if coeffs is None else coeffs).kernel_factors()
     z = np.asarray(z, dtype=complex)
@@ -154,18 +155,21 @@ def _kernel_terms(m, z, K, coeffs):
     return r, th, _phase_sum(th, ks[0], 1.0, np.stack([c, ks * c]))
 
 
-def kernel_eval(m: HomogeneousSymbol, z, K: int = 256,
-                coeffs: CircleCoefficients = None):
+def kernel_eval(m: HomogeneousSymbol, z, K: int = 256):
     """Truncated kernel sum at z (complex number(s) standing for R^2 points); the sum
     over k is `_phase_sum`'s coarse x fine split, within about 1e-14 sum|c_k|."""
-    r, _, (sums, _) = _kernel_terms(m, z, K, coeffs)
+    r, _, (sums, _) = _kernel_terms(m, z, K)
     return sums / r ** 2
 
 
-def kernel_gradient(m: HomogeneousSymbol, z, K: int = 256,
-                    coeffs: CircleCoefficients = None):
+def kernel_gradient(m: HomogeneousSymbol, z, K: int = 256):
     """(d/dx, d/dy) of the truncated kernel, term-wise analytic."""
-    r, th, (sums, k_sums) = _kernel_terms(m, z, K, coeffs)
+    return _gradient(*_kernel_terms(m, z, K))
+
+
+def _gradient(r, th, kernel_sums):
+    """The kernel gradient from `_kernel_terms`' |z|, arg z and kernel sums."""
+    sums, k_sums = kernel_sums
     cos_t, sin_t = np.cos(th), np.sin(th)
     gx = (-2.0 * cos_t * sums - 1j * sin_t * k_sums) / r ** 3
     gy = (-2.0 * sin_t * sums + 1j * cos_t * k_sums) / r ** 3
@@ -192,9 +196,9 @@ def size_smoothness_check(m: HomogeneousSymbol, radii=(1.0, 10.0), K: int = 256,
     th = TWO_PI * np.arange(n_angles) / n_angles
     c1s, c2s = [], []
     for r in radii:
-        z = r * np.exp(1j * th)
-        kv = kernel_eval(m, z, coeffs=coeffs)
-        gx, gy = kernel_gradient(m, z, coeffs=coeffs)
+        abs_z, arg_z, sums = _kernel_terms(m, r * np.exp(1j * th), K, coeffs)
+        kv = sums[0] / abs_z ** 2
+        gx, gy = _gradient(abs_z, arg_z, sums)
         c1s.append(float(np.max(np.abs(kv)) * r ** 2))
         c2s.append(float(np.max(np.hypot(np.abs(gx), np.abs(gy))) * r ** 3))
     return SizeSmoothnessReport(max(c1s), max(c2s), tuple(c1s), tuple(c2s),
@@ -262,7 +266,7 @@ def s1_factorize(m: HomogeneousSymbol, quadrant=( -1, 1), S: float = 40.0,
     """
     sigma1, sigma2 = quadrant
     if sigma1 not in (-1, 1) or sigma2 not in (-1, 1):
-        raise ValueError("quadrant signs must be +-1")
+        raise BadParameter(f"quadrant signs must be +-1, got {quadrant}")
     if not (math.isfinite(S) and S > 0 and N >= 2 and t_points >= 2):
         raise BadGrid(f"need finite S > 0, N >= 2, t_points >= 2; got {S}, {N}, {t_points}")
     probe = TWO_PI * np.arange(8192) / 8192
@@ -305,7 +309,7 @@ def a_base_profile(P: SectorPartition, which: int, sigma: int) -> HomogeneousSym
     (-cos th, 0, sin th), whose gaps (l1 - l0, l2 - l1) are (cos th, sin th),
     evaluated at the angles inside the quadrant only, and 0 elsewhere."""
     if which not in (3, 4, 5, 6):
-        raise ValueError("which must be one of 3, 4, 5, 6")
+        raise BadParameter(f"which must be one of 3, 4, 5, 6, got {which}")
 
     def profile(th):
         th = np.asarray(th, dtype=float)

@@ -78,7 +78,8 @@ def test_bad_grid_and_size_are_named_errors(argv, error, capsys):
                                   ["decomp", "--epsilon", "1"],
                                   ["dyadic", "bk", "--kmin", "2", "--kmax", "1"],
                                   *(["extrapolate", "--n", "4", "--q", q]
-                                    for q in ("-0.5", "0", "1", "nan"))])
+                                    for q in ("-0.5", "0", "1", "nan")),
+                                  ["symcalc", "factorize", "--which", "7"]])
 def test_bad_parameter_is_named_validation_error(argv, capsys):
     # these exited 2 through a plain ValueError, except extrapolate --q -0.5,
     # which ran on interleaved signs

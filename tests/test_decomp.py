@@ -116,7 +116,7 @@ def test_a_symbol_examples(P):
     with pytest.raises(DiagonalQuery):
         a_symbol(2, (1.0, 1.0, 1.0), P)
     for i in (0, 7):
-        with pytest.raises(ValueError, match="a_i index"):
+        with pytest.raises(BadParameter, match="a_i index"):
             a_symbol(i, (0.0, 1.0, 2.0), P)
 
 
@@ -409,6 +409,58 @@ def test_thetas_equal_theta_of_angle_bitwise(P):
         assert tuple(P.thetas(phi)) == tuple(P.theta_of_angle(j, phi) for j in (1, 2, 3))
 
 
+def _thetas_by_arcs(P, phi):
+    """The partition with every angle through the formula: both arcs of each
+    sector at phi and at phi + pi, summed arc by arc, over one normalizing sum."""
+    phi = np.asarray(phi, dtype=float)
+    inset = P.epsilon / 4
+
+    def bump(j, psi):
+        out = np.zeros_like(psi)
+        for a, b in P.arcs(j):
+            d = np.mod(psi - a, 2 * math.pi)
+            out = out + smoothstep((d - inset) / P.band) \
+                * smoothstep((b - a - inset - d) / P.band)
+        return out
+
+    nums = [0.5 * (bump(j, phi) + bump(j, phi + math.pi)) for j in (1, 2, 3)]
+    den = nums[0] + nums[1] + nums[2]
+    if np.any(den <= 0.0):
+        raise BadParameter("normalizing sum 0")
+    return [num / den for num in nums]
+
+
+def _theta_bytes(thetas, phi):
+    """Bytes of the three theta_j at phi, or the name of what they raise."""
+    try:
+        return [np.asarray(t).tobytes() for t in thetas(phi)]
+    except BadParameter:
+        return "BadParameter"
+
+
+@pytest.mark.parametrize("epsilon, band", [(math.pi / 32, None), (0.1, None),
+                                           (math.pi / 32, 0.001), (math.pi / 32, 0.3),
+                                           (math.pi / 32, 2.0)])
+def test_thetas_equal_formula_bitwise_at_piece_edges(epsilon, band):
+    # thetas runs the formula on the ramps only and takes the flat pieces
+    # from a table: probe every piece edge from both sides, one period away,
+    # on the other symmetric copy, and past the range the table serves
+    P = SectorPartition(epsilon, band)
+    edges = np.concatenate([[0.0], P._pieces[0]])
+    near = [edges + dx for dx in (0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9)]
+    near += [np.nextafter(edges, math.inf), np.nextafter(edges, -math.inf)]
+    probes = np.concatenate([x + shift for x in near
+                             for shift in (0.0, -math.pi, 2 * math.pi, -2 * math.pi)])
+    v = np.linspace(-2.0, 2.0, 64)
+    table = np.arctan2(v[None, None, :] - v[None, :, None], v[None, :, None] - v[:, None, None])
+    for phi in (probes, table, table - math.pi, np.float64(0.3), np.array(-1e-17), 1e17,
+                -1e17, np.array([1e17, 0.3, -1e-17, 4 * math.pi, -4 * math.pi])):
+        want = _theta_bytes(lambda x: _thetas_by_arcs(P, x), phi)
+        assert _theta_bytes(P.thetas, phi) == want
+    with pytest.raises(BadParameter, match="normalizing sum 0 at angle nan"):
+        P.thetas(np.array([0.3, math.nan]))
+
+
 def test_a_symbol_frozen(P):
     vals = np.array([[a_symbol(i, t, P) for i in range(1, 7)] for t in _frozen_triples()])
     assert _sha256(vals) == FROZEN_A_SYMBOL
@@ -440,9 +492,9 @@ def test_decomposition_tables_frozen(P, name):
 
 @pytest.mark.parametrize("j", [0, 4, -1])
 def test_sector_index_is_validated(P, j):
-    with pytest.raises(ValueError, match="sector index must be 1, 2 or 3"):
+    with pytest.raises(BadParameter, match="sector index must be 1, 2 or 3"):
         P.theta_of_angle(j, 2.0)
-    with pytest.raises(ValueError, match="sector index must be 1, 2 or 3"):
+    with pytest.raises(BadParameter, match="sector index must be 1, 2 or 3"):
         theta(j, (1.0, -1.0), P)
 
 

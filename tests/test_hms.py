@@ -105,6 +105,14 @@ def test_lemma43_rejects_k_outside_1_to_n(k):
         lemma43_check(2, k, 0, get_function("sin"))
 
 
+@pytest.mark.parametrize("k", [0, 3])
+def test_theorem_bound_rejects_k_outside_1_to_n(k):
+    # these raised OrderUnsupported, where symbol_from_divdiff and
+    # lemma43_check raise BadParameter for the same k
+    with pytest.raises(BadParameter, match="1 <= k <= n"):
+        hms_theorem_bound(2, k, get_function("sin"))
+
+
 def test_lemma43_rejects_bad_gamma():
     with pytest.raises(OrderUnsupported):
         lemma43_check(2, 3, 1, get_function("sin"))  # gamma > n+1-k = 0

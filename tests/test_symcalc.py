@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from schurlab.decomp import SectorPartition
-from schurlab.errors import (BadBudget, BadGrid, NonFiniteNode, OriginQuery,
-                             SupportViolation)
+from schurlab.errors import (BadBudget, BadGrid, BadParameter, NonFiniteNode,
+                             OriginQuery, SupportViolation)
 from schurlab.symcalc import (TWO_PI, HomogeneousSymbol, _phase_sum, _uniform_transform,
                               a_base_profile, bump_symbol,
                               circle_fourier_coeffs, coeff_tail_bound,
@@ -19,10 +19,21 @@ from conftest import dense_phase_sum, dense_uniform_transform
 
 
 def test_parity_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParameter, match="does not have parity"):
         HomogeneousSymbol(lambda th: np.cos(th), "even")
+    with pytest.raises(BadParameter, match="parity must be"):
+        HomogeneousSymbol(lambda th: np.cos(th), "twisted")
     HomogeneousSymbol(lambda th: np.cos(th), "odd")  # fine
     HomogeneousSymbol(lambda th: np.cos(2 * np.asarray(th)), "even")
+
+
+def test_quadrant_and_which_are_bad_parameter():
+    # these were bare ValueErrors
+    with pytest.raises(BadParameter, match="quadrant signs"):
+        s1_factorize(bump_symbol(), (1, 0), N=256, t_points=512)
+    for which in (2, 7):
+        with pytest.raises(BadParameter, match="which must be one of 3, 4, 5, 6"):
+            a_base_profile(SectorPartition(), which, 1)
 
 
 def test_coeffs_single_harmonic():
@@ -84,6 +95,17 @@ def test_size_smoothness_harmonic():
     assert abs(rep.c1_per_annulus[0] - rep.c1_per_annulus[1]) <= 1e-8
     assert abs(rep.c2_per_annulus[0] - rep.c2_per_annulus[1]) <= 1e-6
     assert rep.c2_hat == pytest.approx(math.sqrt(5.0) / (2.0 * math.pi), abs=1e-8)
+
+
+def test_size_smoothness_equals_kernel_functions_bitwise():
+    # one kernel sum per radius gives what kernel_eval and kernel_gradient give
+    m, th = harmonic_symbol(3, real=True), TWO_PI * np.arange(333) / 333
+    rep = size_smoothness_check(m, radii=(1.0, 7.3), K=64, n_angles=333)
+    for r, c1, c2 in zip((1.0, 7.3), rep.c1_per_annulus, rep.c2_per_annulus):
+        z = r * np.exp(1j * th)
+        gx, gy = kernel_gradient(m, z, K=64)
+        assert c1 == float(np.max(np.abs(kernel_eval(m, z, K=64))) * r ** 2)
+        assert c2 == float(np.max(np.hypot(np.abs(gx), np.abs(gy))) * r ** 3)
 
 
 def test_size_smoothness_zero():
