@@ -31,6 +31,7 @@ from .hms import GridSpec, hms_norm, hms_theorem_bound, symbol_from_divdiff
 from .lowerlab import (GeometricDiscretization, extrapolation_experiment,
                        limit_convergence_report, theorem_b1_experiment,
                        theorem_b2_experiment, truncation_norm_sweep)
+from .matrixnum import _one_blas_thread
 from .schur import (Budget, PointSet, load_symbol_table, m_plus_symbol,
                     norm_lower_search, ones_symbol, truncation_symbol,
                     diagonal_symbol)
@@ -452,6 +453,7 @@ def _config_defaults(ap: argparse.ArgumentParser, path, known) -> dict:
     return pairs
 
 
+@_one_blas_thread()
 def main(argv=None) -> int:
     global _started
     argv = list(sys.argv[1:] if argv is None else argv)

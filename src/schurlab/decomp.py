@@ -33,7 +33,7 @@ import numpy as np
 from .divdiff import divdiff_two_var_grid, newton_table
 from .errors import BadParameter, DiagonalQuery, NonFiniteNode, OriginQuery, PoleHit
 from .functions import ScalarFunction
-from .matrixnum import as_matrix
+from .matrixnum import _one_blas_thread, as_matrix
 from .schur import PointSet, apply_bilinear, row_slabs
 
 TWO_PI = 2.0 * math.pi
@@ -319,6 +319,7 @@ def decomposition_tables(f: ScalarFunction, X: PointSet, P: SectorPartition) -> 
     }
 
 
+@_one_blas_thread()
 def schur_decomposition_residual(f: ScalarFunction, X: PointSet, a, b,
                                  P: SectorPartition, tables: dict = None) -> float:
     """S_2 distance between M_{f^[2]}(a, b) and its six-term composition."""

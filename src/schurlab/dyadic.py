@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import (BadExponent, BadParameter, CarlesonViolation, CoefficientBound,
                      OutOfWindow, ScaleMismatch, check_count)
-from .matrixnum import schatten_norm_from_sv
+from .matrixnum import schatten_norm_from_sv, svd
 
 _BOUND_SLACK = 1.0 + 1e-12
 
@@ -452,7 +452,7 @@ def lp_schatten_norm(f: StepFunction, p: float) -> float:
     """L^p(S_p) norm of a matrix-valued step function (exact finite sum)."""
     if p < 1:
         raise BadExponent(f"need p >= 1, got {p}")
-    sv = np.sort(np.linalg.svd(f.values, compute_uv=False), axis=None)[::-1]
+    sv = np.sort(svd(f.values, compute_uv=False), axis=None)[::-1]
     return schatten_norm_from_sv(sv, p) * f.system.unit ** (1.0 / p)
 
 

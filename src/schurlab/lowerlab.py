@@ -42,7 +42,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadParameter, IndexConstraint, check_count
-from .matrixnum import marcinkiewicz_norm_from_sv, schatten_norm
+from .matrixnum import (_one_blas_thread, holder_split, marcinkiewicz_norm_from_sv,
+                        schatten_norm, svd)
 from .schur import (Budget, PointSet, diagonal_part, m_plus, m_plus_symbol,
                     norm_lower_search, row_slabs, triangular_truncation,
                     truncation_symbol)
@@ -124,6 +125,7 @@ def phi_symbol(d: GeometricDiscretization, i: int, j: int, l: int) -> float:
     return float(_b2_symbol(d, i, l))
 
 
+@_one_blas_thread()
 def phi_action(d: GeometricDiscretization, a, b) -> np.ndarray:
     """C_il = sum_j phi_ijl a_ij b_jl over the admissible triples, for n x n
     complex a, b: (a o P) b' + (a o Q)(b o W) for B1, with b' = b minus its
@@ -290,6 +292,7 @@ class B1Report:
     factorization_gap: float
 
 
+@_one_blas_thread()
 def theorem_b1_experiment(p: float, n: int, d: GeometricDiscretization,
                           budget: Budget = Budget()) -> B1Report:
     if d.variant != "B1":
@@ -327,10 +330,9 @@ class B2Report:
     consistency_gap: float   # |mplus_value - direct_value|
 
 
+@_one_blas_thread()
 def theorem_b2_experiment(p: float, n: int, d: GeometricDiscretization,
                           budget: Budget = Budget()) -> B2Report:
-    from .matrixnum import holder_split
-
     if d.variant != "B2":
         raise IndexConstraint("theorem_b2_experiment needs a B2 discretization")
     X = PointSet.integers(n)
@@ -373,6 +375,7 @@ class ExtrapolationReport:
     per_trial: np.ndarray = field(repr=False, default=None)
 
 
+@_one_blas_thread()
 def extrapolation_experiment(n: int = 128, trials: int = 50, seed: int = 0,
                              q: float = 0.8) -> ExtrapolationReport:
     """Marcinkiewicz-scale envelope of the bilinear action on random S_2 inputs.
@@ -392,5 +395,5 @@ def extrapolation_experiment(n: int = 128, trials: int = 50, seed: int = 0,
         x /= np.linalg.norm(x)
         y /= np.linalg.norm(y)
         t = _abs2_f2_action(v, x, y)
-        sups[trial] = marcinkiewicz_norm_from_sv(np.linalg.svd(t, compute_uv=False))
+        sups[trial] = marcinkiewicz_norm_from_sv(svd(t, compute_uv=False))
     return ExtrapolationReport(n, trials, seed, float(np.max(sups)), sups)

@@ -1,16 +1,73 @@
 """Dense complex matrices: singular values, Schatten and Marcinkiewicz norms,
 decreasing rearrangement, polar-based Hoelder factorization, and text I/O.
 
-Matrices are plain complex numpy arrays throughout.
+Matrices are plain complex numpy arrays throughout.  Every SVD of the package
+goes through `svd`, which runs under `_one_blas_thread`, the OpenBLAS pin that
+the package's other LAPACK and BLAS callers share.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import threading
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
 from .errors import BadExponent, ConvergenceFailure, DimensionMismatch
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas_threads_api():
+    """(get, set) thread-count calls of numpy's bundled OpenBLAS, or None."""
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libdir.glob("*openblas*.so*")):
+        try:
+            handle = ctypes.CDLL(str(lib))
+            get = handle.scipy_openblas_get_num_threads64_
+            put = handle.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+_pin_lock = threading.Lock()
+_pin_depth = 0
+_pin_saved = 1
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with OpenBLAS on one thread, then restore its count.
+
+    The count is process-wide: meanwhile other threads see one thread too.
+    Overlapping pins share one: the first to enter saves the count, the last
+    to leave restores it.  A no-op when the symbols are absent.  As a
+    decorator, ``@_one_blas_thread()`` pins every call of the function."""
+    global _pin_depth, _pin_saved
+    api = _openblas_threads_api()
+    if api is None:
+        yield
+        return
+    get, put = api
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_saved = get()
+            put(1)
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                put(_pin_saved)
 
 
 def as_matrix(a) -> np.ndarray:
@@ -22,13 +79,19 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def singular_values(a) -> np.ndarray:
-    """Non-increasing singular values (LAPACK SVD behind the spec contract)."""
-    m = as_matrix(a)
+@_one_blas_thread()
+def svd(m: np.ndarray, compute_uv: bool = True):
+    """np.linalg.svd of a matrix or a stack of them, on one OpenBLAS thread; a
+    LAPACK non-convergence is a ConvergenceFailure."""
     try:
-        return np.linalg.svd(m, compute_uv=False)
+        return np.linalg.svd(m, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
+
+
+def singular_values(a) -> np.ndarray:
+    """Non-increasing singular values (LAPACK SVD behind the spec contract)."""
+    return svd(as_matrix(a), compute_uv=False)
 
 
 def schatten_norm(a, p) -> float:
@@ -77,6 +140,7 @@ def marcinkiewicz_norm(a) -> float:
     return marcinkiewicz_norm_from_sv(singular_values(a))
 
 
+@_one_blas_thread()
 def holder_split(z, p: float):
     """Factor z = y @ x with ||z||_p = ||y||_2p * ||x||_2p via the polar parts.
 
@@ -87,10 +151,7 @@ def holder_split(z, p: float):
     m = as_matrix(z)
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch("holder_split needs a square matrix")
-    try:
-        u, s, vh = np.linalg.svd(m)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
+    u, s, vh = svd(m)
     root = np.sqrt(s)
     y = (u * root) @ vh
     x = (vh.conj().T * root) @ vh

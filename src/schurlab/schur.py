@@ -44,21 +44,17 @@ results do not depend on the BLAS or pool thread count or the schedule.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import BadBudget, BadExponent, BadParameter, DimensionMismatch, check_count
-from .matrixnum import as_matrix, schatten_norm, schatten_norm_from_sv
+from .matrixnum import _one_blas_thread, as_matrix, schatten_norm, schatten_norm_from_sv, svd
 
 _TINY = 1e-300
 
@@ -266,7 +262,7 @@ def _even_half(p) -> int:
 
 
 def _svd_subgradient(z: np.ndarray, p: float):
-    u, s, vh = np.linalg.svd(z)
+    u, s, vh = svd(z)
     norm = schatten_norm_from_sv(s, p)
     if norm == 0.0:
         return 0.0, np.zeros_like(z)
@@ -302,7 +298,7 @@ def _schatten(z: np.ndarray, p: float) -> float:
         t = float(np.vdot(w, w).real)  # tr G^k
         if _TINY < t < np.inf:
             return f * t ** (1.0 / p)
-    return schatten_norm_from_sv(np.linalg.svd(z, compute_uv=False), p)
+    return schatten_norm_from_sv(svd(z, compute_uv=False), p)
 
 
 def _normalize(x: np.ndarray, p: float) -> np.ndarray:
@@ -394,54 +390,6 @@ def _ascend(t: np.ndarray, tc: np.ndarray, starts, qs, p: float, iterations: int
     if _even_half(p):  # re-certify the Gram-path value by one SVD
         best = schatten_norm(forward(best_args), p)
     return best, tuple(a.astype(complex, copy=False) for a in best_args)
-
-
-@functools.lru_cache(maxsize=None)
-def _openblas_threads_api():
-    """(get, set) thread-count calls of numpy's bundled OpenBLAS, or None."""
-    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for lib in sorted(libdir.glob("*openblas*.so*")):
-        try:
-            handle = ctypes.CDLL(str(lib))
-            get = handle.scipy_openblas_get_num_threads64_
-            put = handle.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        put.argtypes, put.restype = [ctypes.c_int], None
-        return get, put
-    return None
-
-
-_pin_lock = threading.Lock()
-_pin_depth = 0
-_pin_saved = 1
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the block with OpenBLAS on one thread, then restore its count.
-
-    Overlapping searches share one pin: the first to enter saves the count,
-    the last to leave restores it.  A no-op when the symbols are absent."""
-    global _pin_depth, _pin_saved
-    api = _openblas_threads_api()
-    if api is None:
-        yield
-        return
-    get, put = api
-    with _pin_lock:
-        if _pin_depth == 0:
-            _pin_saved = get()
-            put(1)
-        _pin_depth += 1
-    try:
-        yield
-    finally:
-        with _pin_lock:
-            _pin_depth -= 1
-            if _pin_depth == 0:
-                put(_pin_saved)
 
 
 # Least n at which a search without a thread setting runs its jobs on the

@@ -27,6 +27,7 @@ import numpy as np
 from .decomp import SectorPartition, a_values, smoothstep
 from .errors import (BadGrid, BadParameter, NonFiniteNode, OriginQuery, SupportViolation,
                      check_count)
+from .matrixnum import _one_blas_thread
 
 _I_POWERS = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
 _SUPPORT_TOL = 1e-12  # largest |m| a profile may keep outside its quadrant
@@ -126,6 +127,7 @@ def coeff_tail_bound(m: HomogeneousSymbol, K: int, factor: int = 4) -> float:
     return float(np.sum(np.abs(ks[mask]) * np.abs(big.alphas[mask])))
 
 
+@_one_blas_thread()
 def _phase_sum(x, s0: float, ds: float, c):
     """sum_k c[..., k] e^{i x (s0 + k ds)} for x of any shape, shaped c.shape[:-1] + x.shape.
     Coarse x fine split: with B = ceil(sqrt(N)) and k = bB + r, a (points x B) table

@@ -102,3 +102,11 @@ def test_every_defaulted_parameter_is_set_somewhere():
     assert TEST_ONLY_KNOBS <= knobs, f"stale entries: {TEST_ONLY_KNOBS - knobs}"
     unset = sorted(knobs - set_by_calls - TEST_ONLY_KNOBS - readme)
     assert not unset, f"defaulted parameters that nothing but tests set: {unset}"
+
+
+def test_svd_has_one_entry_point():
+    # matrixnum.svd pins OpenBLAS to one thread and maps LAPACK
+    # non-convergence to ConvergenceFailure; no other module may bypass it
+    callers = [path.name for path in sorted((ROOT / "src" / "schurlab").glob("*.py"))
+               if "np.linalg.svd" in path.read_text()]
+    assert callers == ["matrixnum.py"]

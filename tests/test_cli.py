@@ -312,9 +312,9 @@ def _cli_csvs(out, argvs, blas_threads="1", pool_threads=None):
 
 
 def test_csvs_independent_of_blas_threads(tmp_path):
-    # outside the search BLAS runs on its default threads; the CSVs must not
-    # depend on how many that is.  At n = 128 the searches run on the pool by
-    # default; the CSVs must not depend on that either.
+    # the CSVs must not depend on the BLAS thread setting (every BLAS call
+    # runs on one thread), nor on the pool the searches run on by default at
+    # n = 128.
     search = ["--restarts", "1", "--iterations", "10"]
     experiments = [["lowerlab", "b1", "--n", "128", *search],
                    ["lowerlab", "b2", "--p", "1.1", "--n", "128", *search]]
@@ -406,6 +406,18 @@ def test_hms_subcommand(capsys):
                  "--grid-points", "64"]) == 0
     out = capsys.readouterr().out
     assert "<= bound" in out
+
+
+@pytest.mark.parametrize("argv", [["extrapolate", "--n", "8", "--trials", "1"],
+                                  ["schur", "--n", "4", "--restarts", "1", "--iterations", "2"]])
+def test_svd_non_convergence_exits_3(argv, monkeypatch, capsys):
+    # LinAlgError is a ValueError: unmapped, it would exit 2 as a validation error
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    assert main(argv) == 3
+    assert "error [numerical]" in capsys.readouterr().err
 
 
 def test_convergence_failure_maps_to_exit_3(monkeypatch):

@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import schurlab
+from schurlab import matrixnum
 from schurlab.errors import BadExponent, DimensionMismatch
 from schurlab.matrixnum import (decreasing_rearrangement, holder_split,
                                 marcinkiewicz_norm, read_matrix, schatten_norm,
@@ -131,3 +137,84 @@ def test_matrix_io_roundtrip(tmp_path, rng):
     b = read_matrix(path)
     assert b.shape == a.shape
     assert np.array_equal(a, b)  # 17 significant digits round-trip exactly
+
+
+def test_every_blas_caller_runs_on_one_thread(monkeypatch, rng):
+    # each SVD sees one OpenBLAS thread, and each call leaves the count as it
+    # found it; the GEMMs of these functions run under the same decorator
+    from schurlab.dyadic import DyadicSystem, random_admissible_spec, shift_norm_probe
+    from schurlab.lowerlab import (GeometricDiscretization, extrapolation_experiment,
+                                   theorem_b1_experiment, theorem_b2_experiment)
+    from schurlab.schur import Budget
+
+    api = matrixnum._openblas_threads_api()
+    if api is None:
+        pytest.skip("no bundled OpenBLAS thread control")
+    get, put = api
+    seen = []
+    svd = np.linalg.svd
+
+    def recording_svd(*args, **kwargs):
+        seen.append(get())
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    z = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    spec = random_admissible_spec(DyadicSystem(-4, 2), (1, 1, 0), 3, np.random.default_rng(2))
+    calls = {
+        "extrapolation": lambda: extrapolation_experiment(n=8, trials=2),
+        "b1": lambda: theorem_b1_experiment(
+            2.0, 8, GeometricDiscretization(0.5, 40, "B1", 8), Budget(1, 3)),
+        "b2": lambda: theorem_b2_experiment(
+            1.5, 8, GeometricDiscretization(0.5, 40, "B2", 8), Budget(1, 3)),
+        "marcinkiewicz": lambda: marcinkiewicz_norm(z),
+        "holder_split": lambda: holder_split(z, 2.0),
+        "shift_norm_probe": lambda: shift_norm_probe(spec, 4.0, 4.0, 2.0, trials=2),
+    }
+    saved = get()
+    put(2)  # a count the pin must change and then restore
+    try:
+        for name, call in calls.items():
+            before, seen[:] = get(), []
+            call()
+            assert seen and set(seen) == {1}, name
+            assert get() == before, name
+    finally:
+        put(saved)
+
+
+_OUTSIDE_SEARCH = """
+import numpy as np
+from schurlab.lowerlab import (GeometricDiscretization, extrapolation_experiment,
+                               theorem_b1_experiment, theorem_b2_experiment)
+from schurlab.matrixnum import marcinkiewicz_norm
+from schurlab.schur import Budget
+from schurlab.symcalc import bump_symbol, s1_factorize
+
+values = list(extrapolation_experiment(n=128, trials=3).per_trial)
+for variant, p, run in (("B1", 2.0, theorem_b1_experiment), ("B2", 1.1, theorem_b2_experiment)):
+    rep = run(p, 128, GeometricDiscretization(0.5, 40, variant, 128), Budget(1, 5))
+    values += [v for v in vars(rep).values() if isinstance(v, float)]
+rng = np.random.default_rng(0)
+values.append(marcinkiewicz_norm(rng.standard_normal((128, 128))
+                                 + 1j * rng.standard_normal((128, 128))))
+th, r = rng.uniform(np.pi / 8, 3 * np.pi / 8, 1000), rng.uniform(0.5, 2.0, 1000)
+rec = s1_factorize(bump_symbol(), (1, 1), S=160.0, N=4096, t_points=4096).reconstruct(
+    r * np.cos(th), r * np.sin(th))
+values += list(rec.real) + list(rec.imag)
+print(" ".join(float(v).hex() for v in values))
+"""
+
+
+def test_outside_search_bitwise_independent_of_blas_threads():
+    # the experiments' own GEMMs and SVDs, a Marcinkiewicz norm and a
+    # reconstruction: every last bit, not only the 12 digits of the CSVs
+    env = dict(os.environ, PYTHONPATH=str(Path(schurlab.__file__).parents[1]))
+    outs = []
+    for threads in ("1", "2"):
+        env["OPENBLAS_NUM_THREADS"] = threads
+        run = subprocess.run([sys.executable, "-c", _OUTSIDE_SEARCH], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        outs.append(run.stdout)
+    assert outs[0] == outs[1]

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import schurlab
-from schurlab import schur
+from schurlab import matrixnum, schur
 from schurlab.errors import (BadBudget, BadExponent, BadParameter, DimensionMismatch,
                              SchurLabError)
 from schurlab.lowerlab import volterra_candidates
@@ -362,14 +362,14 @@ def test_gram_path_certified_by_svd(rng):
 
 
 def test_search_restores_blas_threads(monkeypatch):
-    api = schur._openblas_threads_api()
+    api = matrixnum._openblas_threads_api()
     if api is None:
         pytest.skip("no bundled OpenBLAS thread control")
     get, _ = api
     before = get()
-    with schur._one_blas_thread():
+    with matrixnum._one_blas_thread():
         assert get() == 1
-        with schur._one_blas_thread():
+        with matrixnum._one_blas_thread():
             assert get() == 1
         assert get() == 1
     assert get() == before
@@ -381,7 +381,7 @@ def test_search_restores_blas_threads(monkeypatch):
 def test_blas_pin_under_overlapping_threads():
     # more threads than cores entering and leaving the pin with a short switch
     # interval: inside, BLAS is always on one thread; afterwards the count is back
-    api = schur._openblas_threads_api()
+    api = matrixnum._openblas_threads_api()
     if api is None:
         pytest.skip("no bundled OpenBLAS thread control")
     get, _ = api
@@ -390,7 +390,7 @@ def test_blas_pin_under_overlapping_threads():
 
     def worker():
         for _ in range(200):
-            with schur._one_blas_thread():
+            with matrixnum._one_blas_thread():
                 seen.append(get())
 
     interval = sys.getswitchinterval()
