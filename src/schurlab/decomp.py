@@ -38,6 +38,7 @@ from .schur import PointSet, apply_bilinear, row_slabs
 
 TWO_PI = 2.0 * math.pi
 _SUPPORT_FLOOR = 1e-300
+_FORMULA_CHUNK = 4096  # ramp angles per _formula call, so its 24 m temporaries stay in cache
 
 
 def smoothstep(t):
@@ -144,14 +145,18 @@ class SectorPartition:
         # three arrays, not one (3, ...) block, which raised peak RSS through heap layout
         out = [np.asarray(row[idx]) for row in table]
         ramp = np.isnan(out[0]) | ~(np.abs(phi) <= 2 * TWO_PI)
-        if np.any(ramp):
-            nums, den = self._formula(phi[ramp])
+        at = np.flatnonzero(ramp)
+        # flat views: writing flat_out fills out, a 0-d value included
+        flat_phi, flat_out = phi.reshape(-1), [th.reshape(-1) for th in out]
+        for lo in range(0, at.size, _FORMULA_CHUNK):
+            chunk = at[lo:lo + _FORMULA_CHUNK]
+            nums, den = self._formula(flat_phi[chunk])
             zero = den <= 0.0
             if np.any(zero):
-                raise BadParameter(f"normalizing sum 0 at angle {phi[ramp][zero][0]}, "
+                raise BadParameter(f"normalizing sum 0 at angle {flat_phi[chunk][zero][0]}, "
                                    f"band {self.band}")
-            for th, num in zip(out, nums):
-                th[ramp] = num / den
+            for th, num in zip(flat_out, nums):
+                th[chunk] = num / den
         return tuple(th[()] for th in out)
 
     def theta_of_angle(self, j: int, phi):

@@ -55,23 +55,34 @@ def newton_table(f: ScalarFunction, nodes):
     """f^[n] at the n+1 broadcastable nodes, equal nodes next to each other.
 
     Only the previous diagonal of the table is kept.  f^(w) is evaluated only
-    for a window with some equal end nodes; a window whose end nodes are equal
-    at some points and differ at others takes each value where it applies."""
+    for a window with some equal end nodes, once per node object (the grid
+    callers repeat one array); a window whose end nodes are equal at some
+    points and differ at others takes each value where it applies."""
+    nodes = list(nodes)  # keeps every node alive, so no two share an id()
+    memo = {}  # (w, id(node)) -> f^(w)(node)/w!
+
+    def taylor(w, x):
+        key = (w, id(x))
+        if key not in memo:
+            memo[key] = f.eval(x) if w == 0 else f.deriv(w)(x) / math.factorial(w)
+        return memo[key]
+
     n = len(nodes) - 1
-    prev = [f.eval(x) for x in nodes]
+    prev = [taylor(0, x) for x in nodes]
     for w in range(1, n + 1):
         cur = []
         for i in range(n + 1 - w):
             first, last = nodes[i], nodes[i + w]
-            same = np.asarray(first == last)
-            if not same.any():
+            same = first == last
+            scalar = not isinstance(same, np.ndarray)  # a plain bool: no 0-d reduction
+            if not (same if scalar else same.any()):
                 cur.append((prev[i + 1] - prev[i]) / (last - first))
                 continue
             if f.kind == KIND_GENERALIZED_ABS and w == 2:
-                conf = np.zeros(same.shape)
+                conf = np.zeros(np.shape(same))
             else:
-                conf = f.deriv(w)(first) / math.factorial(w)
-            if same.all():
+                conf = taylor(w, first)
+            if scalar or same.all():
                 cur.append(conf)
             else:
                 with np.errstate(divide="ignore", invalid="ignore"):

@@ -14,6 +14,8 @@ A symbol supported in the open quadrant sigma_1 R_+ x sigma_2 R_+ factorizes
 through imaginary powers: with h(t) = m(sigma_1 e^t, sigma_2) one has
 h(t) = int g(s) e^{ist} ds, hence m(xi) = int g(s) |xi_1|^{is} |xi_2|^{-is} ds
 on the quadrant, and the associated constant is C(m) = int |g(s)| (1+2|s|)^2 ds.
+The Toeplitz bases a_3..a_6 are odd, a_i(-lambda) = -a_i(lambda), so their two
+opposite quadrants have equal constants and one factorization gives both.
 """
 
 from __future__ import annotations
@@ -310,8 +312,10 @@ def a_base_profile(P: SectorPartition, which: int, sigma: int) -> HomogeneousSym
     to the quadrant (-sigma R_+, sigma R_+): decomp.a_values at the triple
     (-cos th, 0, sin th), whose gaps (l1 - l0, l2 - l1) are (cos th, sin th),
     evaluated at the angles inside the quadrant only, and 0 elsewhere."""
-    if which not in (3, 4, 5, 6):
-        raise BadParameter(f"which must be one of 3, 4, 5, 6, got {which}")
+    if not (isinstance(which, (int, np.integer)) and which in (3, 4, 5, 6)):
+        raise BadParameter(f"which must be one of 3, 4, 5, 6, got {which!r}")
+    if sigma not in (1, -1):
+        raise BadParameter(f"sigma must be 1 or -1, got {sigma!r}")
 
     def profile(th):
         th = np.asarray(th, dtype=float)
@@ -325,9 +329,11 @@ def a_base_profile(P: SectorPartition, which: int, sigma: int) -> HomogeneousSym
 
 def corollary52_constants(P: SectorPartition, which: int, S: float = 40.0,
                           N: int = 4096, t_points: int = 8192) -> float:
-    """C(a_which) summed over the two opposite quadrant restrictions."""
-    total = 0.0
-    for sigma in (1, -1):
-        sym = a_base_profile(P, which, sigma)
-        total += s1_factorize(sym, (-sigma, sigma), S=S, N=N, t_points=t_points).C_m
-    return total
+    """C(a_which) over the quadrants (-1, 1) and (1, -1), computed as twice the
+    first.  a_which is odd off the zero gaps: theta_j is even (the partition
+    symmetrizes phi and phi + pi), psi_j is homogeneous of degree 0 and each
+    e_k = sign1(gap) changes sign.  So the (1, -1) profile at th + pi is minus
+    the (-1, 1) profile at th, h(t) and g(s) change sign, and
+    C = int |g(s)| (1+2|s|)^2 ds is the same on both."""
+    return 2.0 * s1_factorize(a_base_profile(P, which, 1), (-1, 1), S=S, N=N,
+                              t_points=t_points).C_m

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import mp_divdiff
 
-from schurlab.decomp import (SectorPartition, a_symbol, a_tables, a_values,
+from schurlab.decomp import (_FORMULA_CHUNK, SectorPartition, a_symbol, a_tables, a_values,
                              decomposition_residual, decomposition_residuals,
                              decomposition_tables, f2_table, f2_values, psi,
                              schur_decomposition_residual, sign1, smoothstep,
@@ -459,6 +459,18 @@ def test_thetas_equal_formula_bitwise_at_piece_edges(epsilon, band):
         assert _theta_bytes(P.thetas, phi) == want
     with pytest.raises(BadParameter, match="normalizing sum 0 at angle nan"):
         P.thetas(np.array([0.3, math.nan]))
+
+
+def test_normalizing_sum_error_names_the_first_bad_angle():
+    # the ramp angles go through the formula in chunks; the first bad angle
+    # sits in the second chunk, a later one in the third
+    P = SectorPartition(band=0.3)
+    phi = np.linspace(0.0, 6.0, 3 * _FORMULA_CHUNK)
+    phi[_FORMULA_CHUNK + 7] = -math.inf
+    phi[2 * _FORMULA_CHUNK + 3] = math.nan
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(BadParameter, match="normalizing sum 0 at angle -inf, band 0.3"):
+        P.thetas(phi)
 
 
 def test_a_symbol_frozen(P):

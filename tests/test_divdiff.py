@@ -11,7 +11,7 @@ from schurlab.divdiff import (divdiff_partial, divdiff_two_var,
                               node_insertion_split)
 from schurlab.errors import (CoincidentPivot, DegenerateTolerance,
                              NonFiniteNode, OrderUnsupported)
-from schurlab.functions import FUNCTIONS, SMOOTH_TEST_SET, get_function
+from schurlab.functions import FUNCTIONS, SMOOTH_TEST_SET, ScalarFunction, get_function
 
 from conftest import (abs2_prime_rational, abs2_rational, mp_divdiff,
                       rational_divdiff)
@@ -248,3 +248,24 @@ def test_non_finite_node_raises(nodes, bad, at, name):
     nodes.insert(at % (len(nodes) + 1), bad)
     with pytest.raises(NonFiniteNode):
         divided_difference(get_function(name), nodes)
+
+
+@pytest.mark.parametrize("k, calls", [(1, [2, 2, 1]), (2, [2, 1, 1])])
+def test_grid_evaluates_each_derivative_once_per_node_array(k, calls):
+    # the nodes are [lam]*k + [mu]*(3-k): f^(w) runs once on each distinct
+    # array it is asked for, not once per window that asks
+    sin = get_function("sin")
+    counts = [0, 0, 0]
+
+    def counted(w):
+        def g(x):
+            counts[w] += 1
+            return sin.derivs[w](x)
+        return g
+
+    f = ScalarFunction("counted sin", sin.kind, 2, [counted(w) for w in range(3)])
+    v = np.linspace(-1.0, 1.0, 9)  # the diagonal makes every window partly confluent
+    lam, mu = v[:, None], v[None, :]
+    got = divdiff_two_var_grid(f, 2, k, lam, mu)
+    assert counts == calls
+    assert got.tobytes() == divdiff_two_var_grid(sin, 2, k, lam, mu).tobytes()

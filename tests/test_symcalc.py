@@ -1,10 +1,13 @@
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from schurlab import symcalc
 from schurlab.decomp import SectorPartition
 from schurlab.errors import (BadBudget, BadGrid, BadParameter, NonFiniteNode,
                              OriginQuery, SupportViolation)
@@ -31,9 +34,16 @@ def test_quadrant_and_which_are_bad_parameter():
     # these were bare ValueErrors
     with pytest.raises(BadParameter, match="quadrant signs"):
         s1_factorize(bump_symbol(), (1, 0), N=256, t_points=512)
-    for which in (2, 7):
+    for which in (2, 7, 3.0):
         with pytest.raises(BadParameter, match="which must be one of 3, 4, 5, 6"):
             a_base_profile(SectorPartition(), which, 1)
+    # 3.0 passed the membership test and then raised a TypeError
+    with pytest.raises(BadParameter, match="which must be one of 3, 4, 5, 6"):
+        corollary52_constants(SectorPartition(), 3.0, S=20, N=256, t_points=512)
+    # sigma 0 gave an all-zero profile (C = 0.0), and 2 or 0.5 acted as 1
+    for sigma in (0, 2, 0.5, -1.5):
+        with pytest.raises(BadParameter, match="sigma must be 1 or -1"):
+            a_base_profile(SectorPartition(), 3, sigma)
 
 
 def test_coeffs_single_harmonic():
@@ -255,6 +265,56 @@ def test_corollary52_constants_finite_and_repeatable():
         f_p = s1_factorize(sym_p, (-1, 1), S=20, N=1024, t_points=4096)
         f_m = s1_factorize(sym_m, (1, -1), S=20, N=1024, t_points=4096)
         assert f_p.C_m == pytest.approx(f_m.C_m, rel=1e-10)
+
+
+# the sizes and partition of the benchmark's factorize workload
+COR52 = {"S": 40.0, "N": 1024, "t_points": 2048}
+GOLDEN_C = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "golden.json")
+                      .read_text())["corollary52"]
+
+
+@pytest.mark.parametrize("band", [None, 0.3])
+def test_a_base_profiles_are_odd_reflections(band):
+    # the (1, -1) profile at th + pi is minus the (-1, 1) profile at th:
+    # theta_j is even, psi_j has degree 0 and each sign e_k flips.  th + pi is
+    # rounded by up to half an ulp of 20 + pi, which moves the profile by that
+    # times its slope (about 34 at the default band, 213 at band 0.3)
+    P = SectorPartition(band=band)
+    th = np.linspace(-20.0, 20.0, 200_001)
+    for which in (3, 4, 5, 6):
+        a = a_base_profile(P, which, 1).profile(th)
+        b = a_base_profile(P, which, -1).profile(th + math.pi)
+        slope = np.max(np.abs(np.diff(a))) / (th[1] - th[0])
+        assert np.max(np.abs(a)) > 0.5
+        tol = 1e-13 * np.max(np.abs(a)) + slope * np.spacing(20.0 + math.pi)
+        assert np.max(np.abs(a + b)) <= tol
+
+
+@pytest.mark.parametrize("which", [3, 4, 5, 6])
+def test_opposite_quadrants_have_equal_constants(which):
+    P = SectorPartition(epsilon=math.pi / 32)
+    c_left = s1_factorize(a_base_profile(P, which, 1), (-1, 1), **COR52).C_m
+    c_right = s1_factorize(a_base_profile(P, which, -1), (1, -1), **COR52).C_m
+    assert c_right == pytest.approx(c_left, rel=1e-12)
+    assert corollary52_constants(P, which, **COR52) == 2.0 * c_left
+
+
+def test_corollary52_constants_make_one_factorization(monkeypatch):
+    calls = []
+
+    def counting(m, quadrant, **kw):
+        calls.append(quadrant)
+        return s1_factorize(m, quadrant, **kw)
+
+    monkeypatch.setattr(symcalc, "s1_factorize", counting)
+    symcalc.corollary52_constants(SectorPartition(), 4, S=20, N=256, t_points=512)
+    assert calls == [(-1, 1)]
+
+
+@pytest.mark.parametrize("which", [3, 4, 5, 6])
+def test_corollary52_constants_match_benchmark_golden(which):
+    c = corollary52_constants(SectorPartition(epsilon=math.pi / 32), which, **COR52)
+    assert c == pytest.approx(GOLDEN_C[str(which)], rel=1e-12)
 
 
 def _a_closed_form(P, which, sigma, th):
