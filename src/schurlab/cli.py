@@ -11,6 +11,7 @@ Exit status: 0 success, 2 validation failure, 3 numerical non-convergence.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -25,7 +26,7 @@ from .constants import (C_BMO, C_constant, Cprime_constant, D_constant,
 from .decomp import (SectorPartition, decomposition_residuals, decomposition_tables,
                      f2_values, schur_decomposition_residual)
 from .divdiff import divided_difference
-from .errors import ConvergenceFailure, SchurLabError, check_count
+from .errors import BadParameter, ConvergenceFailure, SchurLabError, check_count
 from .functions import get_function
 from .hms import GridSpec, hms_norm, hms_theorem_bound, symbol_from_divdiff
 from .lowerlab import (GeometricDiscretization, extrapolation_experiment,
@@ -51,10 +52,10 @@ def _fmt(x) -> str:
 
 def _write_csv(path: Path, header, rows):
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 _started = 0.0  # time.time() when main began the running command
@@ -200,8 +201,11 @@ def cmd_schur(args):
         sym = load_symbol_table(args.symbol[1:], arity)
     elif args.symbol == "ones":
         sym = ones_symbol(arity)
-    else:
+    elif args.symbol in _LINEAR_SYMBOLS:
         sym = _LINEAR_SYMBOLS[args.symbol]()
+    else:
+        raise BadParameter(f"unknown symbol {args.symbol!r}; known: "
+                           f"{['ones', '@file', *_LINEAR_SYMBOLS]}")
     if args.labels:
         X = PointSet(tuple(_parse_floats(args.labels)))
     else:
@@ -480,7 +484,7 @@ def main(argv=None) -> int:
     except ConvergenceFailure as exc:
         print(f"error [numerical]: {exc}", file=sys.stderr)
         return 3
-    except (SchurLabError, ValueError, KeyError, OSError) as exc:
+    except (SchurLabError, ValueError, OSError) as exc:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -19,27 +19,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadExponent, check_count
+from .errors import BadExponent, BadParameter, check_count, check_exponent
 
 
 def log_gamma(x: float) -> float:
     """log Gamma on (0, inf)."""
-    if x <= 0:
-        raise ValueError(f"log_gamma needs x > 0, got {x}")
+    if not x > 0:
+        raise BadParameter(f"log_gamma needs x > 0, got {x}")
     return math.lgamma(x)
 
 
 def conj(p: float) -> float:
     """Hoelder conjugate p/(p-1)."""
-    if not 1.0 < p < math.inf:
-        raise BadExponent(f"need p in (1, inf), got {p}")
+    check_exponent("p", p)
     return p / (p - 1.0)
 
 
 def beta(q: float) -> float:
     """q q* = q^2/(q-1), the Schatten UMD-scale factor."""
-    if not 1.0 < q < math.inf:
-        raise BadExponent(f"need q in (1, inf), got {q}")
+    check_exponent("q", q)
     return q * q / (q - 1.0)
 
 
@@ -50,9 +48,8 @@ class ExponentTriple:
     p2: float
 
     def __post_init__(self):
-        for q in (self.p, self.p1, self.p2):
-            if not 1.0 < q < math.inf:
-                raise BadExponent(f"exponents must lie in (1, inf), got {q}")
+        for name in ("p", "p1", "p2"):
+            check_exponent(name, getattr(self, name))
         if abs(1.0 / self.p - (1.0 / self.p1 + 1.0 / self.p2)) > 1e-12:
             raise BadExponent(
                 f"need 1/p = 1/p1 + 1/p2, got ({self.p}, {self.p1}, {self.p2})")
@@ -77,8 +74,7 @@ def D_constant(t: ExponentTriple) -> float:
 
 def C_BMO(p: float) -> float:
     """2e (e p Gamma(p))^{1/p}, the John-Nirenberg normalization; O(p) growth."""
-    if p <= 0:
-        raise BadExponent(f"need p > 0, got {p}")
+    check_exponent("p", p, 0.0)
     return 2.0 * math.e * math.exp((1.0 + math.log(p) + log_gamma(p)) / p)
 
 
@@ -95,8 +91,8 @@ def Cprime_constant(t: ExponentTriple) -> float:
 
 def kappa(p: float, q: float) -> float:
     """Kahane-Khintchine comparison constant 2^{1+1/q} e (1 + 2p/q)."""
-    if p <= 0 or q <= 0:
-        raise BadExponent("kappa needs positive exponents")
+    check_exponent("p", p, 0.0)
+    check_exponent("q", q, 0.0)
     return 2.0 ** (1.0 + 1.0 / q) * math.e * (1.0 + 2.0 * p / q)
 
 
@@ -109,8 +105,7 @@ class AsymptoticsTable:
     slope_top_decade: float
 
     def rows(self):
-        for i in range(len(self.ps)):
-            yield (self.ps[i], self.d_values[i], self.ratio[i], self.lower_reference[i])
+        return zip(self.ps, self.d_values, self.ratio, self.lower_reference)
 
 
 def loglog_slope(x: np.ndarray, y: np.ndarray) -> float:

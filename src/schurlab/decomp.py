@@ -138,10 +138,12 @@ class SectorPartition:
     def thetas(self, phi):
         """(theta_1, theta_2, theta_3) of the angle; even by explicit symmetrization.
         The formula runs on the ramp angles and on |phi| > 4pi, where phi - a
-        no longer rounds like mod(phi, 2pi) - a; the rest is looked up."""
+        no longer rounds like mod(phi, 2pi) - a; the rest is looked up.  A NaN
+        or infinite angle raises NonFiniteNode, from the ramp branch only."""
         phi = np.asarray(phi, dtype=float)
         ends, table = self._pieces
-        idx = np.searchsorted(ends, np.mod(phi, TWO_PI), side="right")
+        with np.errstate(invalid="ignore"):  # a NaN or infinite angle lands on a ramp
+            idx = np.searchsorted(ends, np.mod(phi, TWO_PI), side="right")
         # three arrays, not one (3, ...) block, which raised peak RSS through heap layout
         out = [np.asarray(row[idx]) for row in table]
         ramp = np.isnan(out[0]) | ~(np.abs(phi) <= 2 * TWO_PI)
@@ -150,6 +152,7 @@ class SectorPartition:
         flat_phi, flat_out = phi.reshape(-1), [th.reshape(-1) for th in out]
         for lo in range(0, at.size, _FORMULA_CHUNK):
             chunk = at[lo:lo + _FORMULA_CHUNK]
+            _finite("theta", flat_phi[chunk])
             nums, den = self._formula(flat_phi[chunk])
             zero = den <= 0.0
             if np.any(zero):
@@ -198,7 +201,7 @@ def _psi_values(l0, l1, l2):
 def psi(j: int, triple) -> float:
     """psi_j, the rational Toeplitz interpolation factor."""
     lam = tuple(map(float, _finite(f"psi_{j}", *triple)))
-    _, _, c, d = _PSI_DEFS[j]
+    _, _, c, d = _PSI_DEFS[_check_sector(j)]
     if lam[c] == lam[d]:
         raise PoleHit(f"psi_{j} pole at {triple}")
     return float(_psi_values(*lam)[j - 1])
@@ -259,8 +262,7 @@ def two_var_tables(f: ScalarFunction, X: PointSet):
 def a_values(l0, l1, l2, P: SectorPartition):
     """The six a_i on broadcastable arrays of triples.  A diagonal triple gets
     a finite placeholder, which a_tables overwrites."""
-    l0, l1, l2 = np.broadcast_arrays(np.asarray(l0, float), np.asarray(l1, float),
-                                     np.asarray(l2, float))
+    l0, l1, l2 = np.broadcast_arrays(*_finite("a_values", l0, l1, l2))
     thetas = P.thetas(np.arctan2(l2 - l1, l1 - l0))
     psis = _psi_values(l0, l1, l2)
     signs = (sign1(l1 - l0), sign1(l2 - l1), sign1(l2 - l0))

@@ -25,7 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CoincidentPivot, DegenerateTolerance, NonFiniteNode, OrderUnsupported
+from .errors import (BadParameter, CoincidentPivot, DegenerateTolerance, NonFiniteNode,
+                     OrderUnsupported)
 from .functions import KIND_GENERALIZED_ABS, ScalarFunction
 
 DEFAULT_TOL = 1e-9
@@ -33,14 +34,8 @@ DEFAULT_TOL = 1e-9
 
 def _cluster_sorted(nodes: np.ndarray, tol: float):
     """Group sorted nodes whose consecutive gaps are <= tol; return (means, sizes)."""
-    means, sizes = [], []
-    start = 0
-    for i in range(1, len(nodes) + 1):
-        if i == len(nodes) or nodes[i] - nodes[i - 1] > tol:
-            means.append(float(np.mean(nodes[start:i])))
-            sizes.append(i - start)
-            start = i
-    return means, sizes
+    clusters = np.split(nodes, np.flatnonzero(np.diff(nodes) > tol) + 1)
+    return [float(np.mean(c)) for c in clusters], [len(c) for c in clusters]
 
 
 def _check_order(f: ScalarFunction, n: int):
@@ -98,7 +93,7 @@ def divided_difference(f: ScalarFunction, nodes: Sequence[float], tol: float = D
     z = np.sort(np.asarray(nodes, dtype=float))
     n = len(z) - 1
     if n < 0:
-        raise ValueError("need at least one node")
+        raise BadParameter("need at least one node")
     if not np.all(np.isfinite(z)):
         raise NonFiniteNode(f"nodes must be finite, got {z[~np.isfinite(z)].tolist()}")
     _check_order(f, n)
@@ -110,7 +105,7 @@ def divdiff_two_var(f: ScalarFunction, n: int, k: int, lam: float, mu: float,
                     tol: float = DEFAULT_TOL) -> float:
     """f^[n] at lambda repeated k times and mu repeated n+1-k times."""
     if not 0 <= k <= n + 1:
-        raise ValueError(f"need 0 <= k <= n+1, got k={k}, n={n}")
+        raise BadParameter(f"need 0 <= k <= n+1, got k={k}, n={n}")
     nodes = [lam] * k + [mu] * (n + 1 - k)
     return divided_difference(f, nodes, tol)
 
@@ -119,7 +114,7 @@ def divdiff_two_var_grid(f: ScalarFunction, n: int, k: int, lam, mu):
     """Vectorized f^[n](lambda^(k), mu^(n+1-k)) on broadcastable arrays,
     f^(n)(lambda)/n! (0 for s|s| at n = 2) where lambda == mu."""
     if not 0 <= k <= n + 1:
-        raise ValueError(f"need 0 <= k <= n+1, got k={k}, n={n}")
+        raise BadParameter(f"need 0 <= k <= n+1, got k={k}, n={n}")
     _check_order(f, n)
     lam, mu = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(mu, dtype=float))
     return newton_table(f, [lam] * k + [mu] * (n + 1 - k))
@@ -133,7 +128,7 @@ def divdiff_partial(f: ScalarFunction, n: int, k: int, lam: float, mu: float,
     d/dmu  = (n+1-k) * f^[n+1](lam^(k), mu^(n+2-k)).
     """
     if not 0 <= k <= n + 1:
-        raise ValueError(f"need 0 <= k <= n+1, got k={k}, n={n}")
+        raise BadParameter(f"need 0 <= k <= n+1, got k={k}, n={n}")
     if f.kind == KIND_GENERALIZED_ABS or n + 1 > f.max_order:
         raise OrderUnsupported(
             f"partials of order-{n} divided differences need f^({n + 1})")
@@ -141,7 +136,7 @@ def divdiff_partial(f: ScalarFunction, n: int, k: int, lam: float, mu: float,
         return k * divdiff_two_var(f, n + 1, k + 1, lam, mu, tol)
     if which == "mu":
         return (n + 1 - k) * divdiff_two_var(f, n + 1, k, lam, mu, tol)
-    raise ValueError(f"which must be 'lambda' or 'mu', got {which!r}")
+    raise BadParameter(f"which must be 'lambda' or 'mu', got {which!r}")
 
 
 def node_insertion_split(f: ScalarFunction, nodes: Sequence[float], i: int, j: int,

@@ -31,7 +31,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from .errors import (BadExponent, BadParameter, CarlesonViolation, CoefficientBound,
-                     OutOfWindow, ScaleMismatch, check_count)
+                     OutOfWindow, ScaleMismatch, check_count, check_exponent)
 from .matrixnum import schatten_norm_from_sv, svd
 
 _BOUND_SLACK = 1.0 + 1e-12
@@ -121,7 +121,7 @@ class DyadicSystem:
 
     def ancestor(self, q: Cube, levels: int) -> Cube:
         if levels < 0:
-            raise ValueError("levels must be >= 0")
+            raise BadParameter("levels must be >= 0")
         return self.cube_containing(q.scale + levels, q.start)
 
     def contains(self, outer: Cube, inner: Cube) -> bool:
@@ -144,7 +144,7 @@ def _haar_layout(D: DyadicSystem, q: Cube, eta: int):
     """(cells, split, amp): h_Q^eta is amp on cells[:split], -amp on
     cells[split:] and 0 off Q."""
     if eta not in (0, 1):
-        raise ValueError("eta must be 0 or 1")
+        raise BadParameter("eta must be 0 or 1")
     cells = D.cells(q)
     if eta == 1 and q.scale <= D.k_min:
         raise ScaleMismatch("cancellative Haar needs a scale above the finest")
@@ -179,7 +179,7 @@ class StepFunction:
         if vals.ndim == 1:
             vals = vals[:, None, None]
         if vals.ndim != 3 or vals.shape[1] != vals.shape[2]:
-            raise ValueError("values must be (n_units, d, d)")
+            raise BadParameter("values must be (n_units, d, d)")
         if vals.shape[0] != self.system.n_units:
             raise ScaleMismatch(
                 f"expected {self.system.n_units} cells, got {vals.shape[0]}")
@@ -258,9 +258,9 @@ class ShiftSpec:
     def __init__(self, system: DyadicSystem, complexity: Tuple[int, int, int],
                  j0: int, coefficients: Dict[tuple, complex]):
         if j0 not in (1, 2, 3):
-            raise ValueError("j0 must be 1, 2 or 3")
+            raise BadParameter("j0 must be 1, 2 or 3")
         if len(complexity) != 3 or any(k < 0 for k in complexity):
-            raise ValueError("complexity must be three non-negative integers")
+            raise BadParameter("complexity must be three non-negative integers")
         self.system = system
         self.complexity = tuple(int(k) for k in complexity)
         self.j0 = j0
@@ -268,7 +268,7 @@ class ShiftSpec:
         for key, alpha in self.coefficients.items():
             q, *iis = key
             if len(iis) != 3:
-                raise ValueError("coefficient keys are (Q, I1, I2, I3)")
+                raise BadParameter("coefficient keys are (Q, I1, I2, I3)")
             for j, ij in enumerate(iis, start=1):
                 if ij.scale != q.scale - self.complexity[j - 1]:
                     raise ScaleMismatch(
@@ -290,7 +290,7 @@ def shift_apply(S: ShiftSpec, f: StepFunction, g: StepFunction) -> StepFunction:
     if f.system != D or g.system != D:
         raise ScaleMismatch("step functions live on a different dyadic system")
     if f.d != g.d:
-        raise ValueError("matrix dimensions of f and g differ")
+        raise BadParameter("matrix dimensions of f and g differ")
     out = np.zeros((D.n_units, f.d, f.d), dtype=complex)
     for (q, i1, i2, i3), alpha in S.coefficients.items():
         cf = inner(f, i1, S.eta(1))
@@ -371,7 +371,7 @@ def paraproduct_apply(a: Dict[Cube, complex], D: DyadicSystem, f: StepFunction,
                       g: StepFunction, j0: int) -> StepFunction:
     """Bilinear paraproduct: slot j0 cancellative, the others Q-averages."""
     if j0 not in (1, 2, 3):
-        raise ValueError("j0 must be 1, 2 or 3")
+        raise BadParameter("j0 must be 1, 2 or 3")
     if carleson_norm(D, a) > _BOUND_SLACK:
         raise CarlesonViolation("coefficients exceed the Carleson normalization")
     out = np.zeros((D.n_units, f.d, f.d), dtype=complex)
@@ -411,10 +411,10 @@ def bk_bound_check(S: ShiftSpec, samples: int = 64, l: Tuple[int, int, int] = No
     l = tuple(int(v) for v in l)
     for j in (1, 2, 3):
         if l[j - 1] and not S.eta(j):
-            raise ValueError("the non-cancellative slot must regroup with l = 0; "
-                             "other choices are not specified by the construction")
+            raise BadParameter("the non-cancellative slot must regroup with l = 0; "
+                               "other choices are not specified by the construction")
         if not 0 <= l[j - 1] <= S.complexity[j - 1]:
-            raise ValueError(f"need 0 <= l_{j} <= k_{j}")
+            raise BadParameter(f"need 0 <= l_{j} <= k_{j}")
 
     grouped: Dict[Cube, Dict[tuple, complex]] = {}
     for (q, *iis), alpha in S.coefficients.items():
@@ -450,8 +450,7 @@ def bk_bound_check(S: ShiftSpec, samples: int = 64, l: Tuple[int, int, int] = No
 
 def lp_schatten_norm(f: StepFunction, p: float) -> float:
     """L^p(S_p) norm of a matrix-valued step function (exact finite sum)."""
-    if p < 1:
-        raise BadExponent(f"need p >= 1, got {p}")
+    check_exponent("p", p, closed=True)
     sv = np.sort(svd(f.values, compute_uv=False), axis=None)[::-1]
     return schatten_norm_from_sv(sv, p) * f.system.unit ** (1.0 / p)
 

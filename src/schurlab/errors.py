@@ -1,5 +1,6 @@
 """Exception hierarchy shared by all schurlab modules."""
 
+import math
 import numbers
 
 
@@ -81,6 +82,13 @@ def check_count(name: str, value, low: int = 1):
         raise BadBudget(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def check_exponent(name: str, p, low: float = 1.0, closed: bool = False):
+    """Raise BadExponent unless low < p < inf (low <= p <= inf if ``closed``); NaN fails."""
+    if not (low <= p <= math.inf if closed else low < p < math.inf):
+        span = f"[{low:g}, inf]" if closed else f"({low:g}, inf)"
+        raise BadExponent(f"{name} must lie in {span}, got {p}")
+
+
 class NonFiniteNode(SchurLabError):
     """A divided difference or a kernel was asked for at a NaN or infinite node or
     evaluation point."""
@@ -91,7 +99,7 @@ class BadGrid(SchurLabError):
 
 
 class BadParameter(SchurLabError, ValueError):
-    """A model parameter outside its admissible range: a divided-difference
-    slot k, a discretization ratio q, a sector overlap epsilon, a dyadic
-    scale range, the labels of a point set, or a sector, a_i, quadrant or
-    parity index.  Also a ValueError, as these checks raised before."""
+    """A parameter outside its range or of the wrong form: a divided-difference
+    slot k, a discretization ratio q, a sector overlap epsilon, a dyadic scale
+    range, point-set labels, a sector, a_i, quadrant or parity index, an unknown
+    function or symbol name, a malformed matrix file.  Also a ValueError."""

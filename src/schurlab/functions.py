@@ -9,11 +9,13 @@ on the full diagonal is fixed to 0 by convention (see divdiff).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.polynomial.polynomial import polyder, polyval
 
-from .errors import OrderUnsupported
+from .errors import BadParameter, OrderUnsupported
 
 KIND_SMOOTH = "smooth"
 KIND_GENERALIZED_ABS = "generalized_abs"
@@ -48,33 +50,14 @@ class ScalarFunction:
 
 def _poly_derivs(coeffs):
     """Derivative chain of a polynomial given by ascending coefficients."""
-    chain = []
-    c = np.asarray(coeffs, dtype=float)
-    for _ in range(9):
-        cc = c.copy()
-
-        def f(s, cc=cc):
-            s = np.asarray(s, dtype=float)
-            out = np.zeros_like(s)
-            for a in cc[::-1]:
-                out = out * s + a
-            return out
-
-        chain.append(f)
-        c = c[1:] * np.arange(1, len(c)) if len(c) > 1 else np.zeros(1)
-    return chain
+    return [partial(polyval, c=polyder(np.asarray(coeffs, dtype=float), j)) for j in range(9)]
 
 
-def _sin_chain():
-    fns = [np.sin, np.cos, lambda s: -np.sin(np.asarray(s, float)),
-           lambda s: -np.cos(np.asarray(s, float))]
-    return [fns[j % 4] for j in range(9)]
-
-
-def _cos_chain():
-    fns = [np.cos, lambda s: -np.sin(np.asarray(s, float)),
-           lambda s: -np.cos(np.asarray(s, float)), np.sin]
-    return [fns[j % 4] for j in range(9)]
+def _trig_chain(shift: int):
+    """Derivative chain of sin (shift 0) or cos (shift 1) from the cycle sin, cos, -sin, -cos."""
+    cycle = [np.sin, np.cos, lambda s: -np.sin(np.asarray(s, float)),
+             lambda s: -np.cos(np.asarray(s, float))]
+    return [cycle[(j + shift) % 4] for j in range(9)]
 
 
 def _abs2(s):
@@ -89,8 +72,8 @@ def _abs2_prime(s):
 FUNCTIONS = {
     "square": ScalarFunction("square", KIND_SMOOTH, 8, _poly_derivs([0.0, 0.0, 1.0])),
     "cube": ScalarFunction("cube", KIND_SMOOTH, 8, _poly_derivs([0.0, 0.0, 0.0, 1.0])),
-    "sin": ScalarFunction("sin", KIND_SMOOTH, 8, _sin_chain()),
-    "cos": ScalarFunction("cos", KIND_SMOOTH, 8, _cos_chain()),
+    "sin": ScalarFunction("sin", KIND_SMOOTH, 8, _trig_chain(0)),
+    "cos": ScalarFunction("cos", KIND_SMOOTH, 8, _trig_chain(1)),
     "exp": ScalarFunction("exp", KIND_SMOOTH, 8, [np.exp] * 9),
     "abs2": ScalarFunction("abs2", KIND_GENERALIZED_ABS, 1, [_abs2, _abs2_prime],
                            singular_points=(0.0,)),
@@ -101,10 +84,9 @@ SMOOTH_TEST_SET = ("square", "cube", "sin", "exp")
 
 
 def get_function(name: str) -> ScalarFunction:
-    try:
-        return FUNCTIONS[name]
-    except KeyError:
-        raise KeyError(f"unknown scalar function {name!r}; known: {sorted(FUNCTIONS)}")
+    if name not in FUNCTIONS:
+        raise BadParameter(f"unknown scalar function {name!r}; known: {sorted(FUNCTIONS)}")
+    return FUNCTIONS[name]
 
 
 def sup_deriv(f: ScalarFunction, n: int, lo: float, hi: float, samples: int = 2048) -> float:

@@ -101,7 +101,7 @@ def symbol_from_divdiff(f: ScalarFunction, n: int, k: int) -> TwoVariableSymbol:
 def make_ks_symbol(s: float, sigma: int = 1) -> TwoVariableSymbol:
     """|mu - lam|^{is} on the half plane sigma(mu - lam) > 0, zero elsewhere."""
     if sigma not in (1, -1):
-        raise ValueError("sigma must be +1 or -1")
+        raise BadParameter("sigma must be +1 or -1")
 
     def mask(lam, mu):
         return sigma * (np.asarray(mu) - np.asarray(lam)) > 0

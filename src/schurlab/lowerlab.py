@@ -254,8 +254,7 @@ def volterra_candidates(n: int) -> list:
     ones = np.ones((n, n), dtype=complex)
     idx = np.arange(n)
     gap = idx[:, None] - idx[None, :]
-    with np.errstate(divide="ignore"):
-        hilbert = np.where(gap != 0, 1.0 / np.where(gap != 0, gap, 1), 0.0).astype(complex)
+    hilbert = np.divide(1.0, gap, out=np.zeros((n, n)), where=gap != 0).astype(complex)
     return [v, v.conj().T, ones, hilbert, np.eye(n, dtype=complex) + hilbert]
 
 
@@ -297,13 +296,15 @@ def theorem_b1_experiment(p: float, n: int, d: GeometricDiscretization,
                           budget: Budget = Budget()) -> B1Report:
     if d.variant != "B1":
         raise IndexConstraint("theorem_b1_experiment needs a B1 discretization")
+    if n != d.n:
+        raise BadParameter(f"n = {n} differs from the discretization's n = {d.n}")
     X = PointSet.integers(n)
     search = norm_lower_search("linear", m_plus_symbol(), X, 2 * p, budget,
                                seeds=volterra_candidates(n))
     x = search.witness[0]
     xo = x - diagonal_part(x)          # (1 - P) x
     y = xo.conj().T                    # (1 - P) x^*
-    direct = schatten_norm(phi_action(GeometricDiscretization(d.q, d.k, "B1", n), y, xo), p)
+    direct = schatten_norm(phi_action(d, y, xo), p)
     denom = schatten_norm(xo, 2 * p) ** 2
     factorized = schatten_norm(
         y @ xo - 2.0 * triangular_truncation(y, X, "-") @ triangular_truncation(xo, X, "+"),
@@ -335,6 +336,8 @@ def theorem_b2_experiment(p: float, n: int, d: GeometricDiscretization,
                           budget: Budget = Budget()) -> B2Report:
     if d.variant != "B2":
         raise IndexConstraint("theorem_b2_experiment needs a B2 discretization")
+    if n != d.n:
+        raise BadParameter(f"n = {n} differs from the discretization's n = {d.n}")
     X = PointSet.integers(n)
     search = norm_lower_search("linear", m_plus_symbol(), X, p, budget,
                                seeds=volterra_candidates(n))
@@ -343,7 +346,7 @@ def theorem_b2_experiment(p: float, n: int, d: GeometricDiscretization,
     mplus_value = schatten_norm(m_plus(z, X), p)
     y, x = holder_split(z, p)
     # Phi has a zero diagonal: the action is already off-diagonal
-    direct = schatten_norm(phi_action(GeometricDiscretization(d.q, d.k, "B2", n), y, x), p)
+    direct = schatten_norm(phi_action(d, y, x), p)
     denom = schatten_norm(y, 2 * p) * schatten_norm(x, 2 * p)
     return B2Report(p=float(p), n=n, q=d.q, k=d.k, seed=budget.seed,
                     mu=search.ratio,

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadExponent, ConvergenceFailure, DimensionMismatch
+from .errors import BadParameter, ConvergenceFailure, DimensionMismatch, check_exponent
 
 
 @functools.lru_cache(maxsize=None)
@@ -75,7 +75,7 @@ def as_matrix(a) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise DimensionMismatch(f"expected a 2-d matrix, got shape {m.shape}")
     if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
-        raise ValueError("matrix entries must be finite")
+        raise BadParameter("matrix entries must be finite")
     return m
 
 
@@ -96,16 +96,14 @@ def singular_values(a) -> np.ndarray:
 
 def schatten_norm(a, p) -> float:
     """(sum s_j^p)^(1/p); the largest singular value for p = inf."""
-    if p != np.inf and p < 1:
-        raise BadExponent(f"Schatten exponent must be >= 1 or inf, got {p}")
+    check_exponent("Schatten exponent", p, closed=True)
     return schatten_norm_from_sv(singular_values(a), p)
 
 
 def schatten_norm_from_sv(s: np.ndarray, p) -> float:
     """schatten_norm from the non-increasing singular values s; the top value
     is scaled out so that a large p cannot overflow."""
-    if p != np.inf and p < 1:
-        raise BadExponent(f"Schatten exponent must be >= 1 or inf, got {p}")
+    check_exponent("Schatten exponent", p, closed=True)
     top = float(s[0]) if len(s) else 0.0
     if top == 0.0:
         return 0.0
@@ -117,7 +115,7 @@ def schatten_norm_from_sv(s: np.ndarray, p) -> float:
 def decreasing_rearrangement(a, t: float) -> float:
     """mu_t: right-continuous step function of the singular values."""
     if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+        raise BadParameter(f"t must be >= 0, got {t}")
     s = singular_values(a)
     idx = int(math.floor(t))
     return float(s[idx]) if idx < len(s) else 0.0
@@ -146,8 +144,7 @@ def holder_split(z, p: float):
 
     y = U |z|^{1/2} and x = |z|^{1/2} where z = U |z|.
     """
-    if p < 1:
-        raise BadExponent(f"need p >= 1, got {p}")
+    check_exponent("p", p, closed=True)
     m = as_matrix(z)
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch("holder_split needs a square matrix")
@@ -160,26 +157,18 @@ def holder_split(z, p: float):
 
 def write_matrix(path, a):
     """Plain text: header 'rows cols', then row-major 're im' pairs (17 digits)."""
-    m = as_matrix(a)
-    rows, cols = m.shape
-    with open(path, "w") as fh:
-        fh.write(f"{rows} {cols}\n")
-        for i in range(rows):
-            parts = []
-            for j in range(cols):
-                v = m[i, j]
-                parts.append(f"{v.real:.17g} {v.imag:.17g}")
-            fh.write(" ".join(parts) + "\n")
+    m = np.ascontiguousarray(as_matrix(a))
+    np.savetxt(path, m.view(float), fmt="%.17g", header="%d %d" % m.shape, comments="")
 
 
 def read_matrix(path) -> np.ndarray:
     with open(path) as fh:
         tokens = fh.read().split()
     if len(tokens) < 2:
-        raise ValueError(f"{path}: missing header")
+        raise BadParameter(f"{path}: missing header")
     rows, cols = int(tokens[0]), int(tokens[1])
     data = np.asarray([float(t) for t in tokens[2:]], dtype=float)
     if data.size != 2 * rows * cols:
-        raise ValueError(f"{path}: expected {2 * rows * cols} numbers, got {data.size}")
+        raise BadParameter(f"{path}: expected {2 * rows * cols} numbers, got {data.size}")
     data = data.reshape(rows * cols, 2)
     return (data[:, 0] + 1j * data[:, 1]).reshape(rows, cols)

@@ -53,7 +53,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BadBudget, BadExponent, BadParameter, DimensionMismatch, check_count
+from .errors import BadBudget, BadParameter, DimensionMismatch, check_count, check_exponent
 from .matrixnum import _one_blas_thread, as_matrix, schatten_norm, schatten_norm_from_sv, svd
 
 _TINY = 1e-300
@@ -99,7 +99,7 @@ class DiscreteSymbol:
 
     def __init__(self, arity: int, coeff: Callable):
         if arity not in (2, 3):
-            raise ValueError(f"arity must be 2 or 3, got {arity}")
+            raise BadParameter(f"arity must be 2 or 3, got {arity}")
         self.arity = arity
         self.coeff = coeff
 
@@ -125,7 +125,7 @@ def truncation_symbol(sign: str) -> DiscreteSymbol:
         return DiscreteSymbol(2, lambda lam, mu: (lam < mu).astype(float))
     if sign == "-":
         return DiscreteSymbol(2, lambda lam, mu: (lam > mu).astype(float))
-    raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+    raise BadParameter(f"sign must be '+' or '-', got {sign!r}")
 
 
 def m_plus_symbol() -> DiscreteSymbol:
@@ -140,7 +140,7 @@ def _table_of(m, X: PointSet, arity: int) -> np.ndarray:
         m = m.table(X)
     arr = np.asarray(m)
     if arr.dtype.kind not in "biufc":
-        raise ValueError(f"symbol table must be numeric, got dtype {arr.dtype}")
+        raise BadParameter(f"symbol table must be numeric, got dtype {arr.dtype}")
     if arr.ndim != arity or arr.shape != (X.n,) * arity:
         raise DimensionMismatch(f"table shape {arr.shape} incompatible with |X| = {X.n}")
     if not np.isfinite(arr).all():
@@ -149,7 +149,7 @@ def _table_of(m, X: PointSet, arity: int) -> np.ndarray:
 
 
 def _square(a, n: int) -> np.ndarray:
-    """a as a finite complex n x n matrix, else DimensionMismatch or ValueError."""
+    """a as a finite complex n x n matrix, else DimensionMismatch or BadParameter."""
     a = as_matrix(a)
     if a.shape != (n, n):
         raise DimensionMismatch(f"matrix shape {a.shape} != ({n}, {n})")
@@ -247,11 +247,6 @@ class EstimateResult:
     ratio: float
     witness: tuple  # (x,) for linear, (x, y) for bilinear
     per_restart: list = field(default_factory=list)
-
-
-def _check_open_exponent(p):
-    if not (1 < p < np.inf):
-        raise BadExponent(f"exponent must lie in (1, inf), got {p}")
 
 
 def _even_half(p) -> int:
@@ -445,9 +440,9 @@ def norm_lower_search(kind: str, m, X: PointSet, exponents, budget: Budget = Bud
         p1, p2, p = exponents
         qs = (p1, p2)
     else:
-        raise ValueError(f"kind must be 'linear' or 'bilinear', got {kind!r}")
+        raise BadParameter(f"kind must be 'linear' or 'bilinear', got {kind!r}")
     for q in (*qs, p):
-        _check_open_exponent(q)
+        check_exponent("exponent", q)
     t = _table_of(m, X, len(qs) + 1)
     real_table = t.dtype.kind != "c" or not np.any(t.imag)
 
@@ -505,7 +500,7 @@ def load_symbol_table(path, arity: int) -> np.ndarray:
     from .matrixnum import read_matrix
 
     if arity not in (2, 3):
-        raise ValueError("arity must be 2 or 3")
+        raise BadParameter("arity must be 2 or 3")
     flat = read_matrix(path)
     n = flat.shape[1]
     if flat.shape[0] != n ** (arity - 1):

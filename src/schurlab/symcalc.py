@@ -146,9 +146,9 @@ def _phase_sum(x, s0: float, ds: float, c):
     return out.reshape(c.shape[:-1] + x.shape)
 
 
-def _kernel_terms(m, z, K, coeffs=None):
+def _kernel_terms(m, z, K):
     """|z|, arg z, and the kernel sums sum_k c_k e^{ik arg z}, sum_k k c_k e^{ik arg z}."""
-    ks, c = (circle_fourier_coeffs(m, K) if coeffs is None else coeffs).kernel_factors()
+    ks, c = circle_fourier_coeffs(m, K).kernel_factors()
     z = np.asarray(z, dtype=complex)
     if not np.all(np.isfinite(z)):
         raise NonFiniteNode("kernel evaluation point is NaN or infinite")
@@ -196,15 +196,11 @@ def size_smoothness_check(m: HomogeneousSymbol, radii=(1.0, 10.0), K: int = 256,
     if not (radii.ndim == 1 and radii.size and np.all(np.isfinite(radii) & (radii > 0))
             and n_angles >= 1):
         raise BadGrid(f"need finite radii > 0 and n_angles >= 1; got {radii}, {n_angles}")
-    coeffs = circle_fourier_coeffs(m, K)
     th = TWO_PI * np.arange(n_angles) / n_angles
-    c1s, c2s = [], []
-    for r in radii:
-        abs_z, arg_z, sums = _kernel_terms(m, r * np.exp(1j * th), K, coeffs)
-        kv = sums[0] / abs_z ** 2
-        gx, gy = _gradient(abs_z, arg_z, sums)
-        c1s.append(float(np.max(np.abs(kv)) * r ** 2))
-        c2s.append(float(np.max(np.hypot(np.abs(gx), np.abs(gy))) * r ** 3))
+    abs_z, arg_z, sums = _kernel_terms(m, radii[:, None] * np.exp(1j * th), K)
+    gx, gy = _gradient(abs_z, arg_z, sums)
+    c1s = (np.max(np.abs(sums[0] / abs_z ** 2), axis=1) * radii ** 2).tolist()
+    c2s = (np.max(np.hypot(np.abs(gx), np.abs(gy)), axis=1) * radii ** 3).tolist()
     return SizeSmoothnessReport(max(c1s), max(c2s), tuple(c1s), tuple(c2s),
                                 coeff_tail_bound(m, K))
 

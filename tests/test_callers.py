@@ -110,3 +110,17 @@ def test_svd_has_one_entry_point():
     callers = [path.name for path in sorted((ROOT / "src" / "schurlab").glob("*.py"))
                if "np.linalg.svd" in path.read_text()]
     assert callers == ["matrixnum.py"]
+
+
+def test_every_raise_is_a_schurlab_error():
+    # the CLI maps SchurLabError to exit status 2; a raise of another class
+    # printed "error [ValueError]" or "error [KeyError]", or a traceback
+    from schurlab import errors
+    known = {name for name, obj in vars(errors).items()
+             if isinstance(obj, type) and issubclass(obj, errors.SchurLabError)}
+    others = [f"{path.name}:{node.lineno} {node.exc.func.id}"
+              for path in sorted((ROOT / "src" / "schurlab").glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+              and isinstance(node.exc.func, ast.Name) and node.exc.func.id not in known]
+    assert not others, f"raises of classes outside schurlab.errors: {others}"

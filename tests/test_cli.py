@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import hashlib
 import importlib.util
 import io
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from schurlab.cli import build_parser, main
+from schurlab.matrixnum import write_matrix
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -79,12 +81,30 @@ def test_bad_grid_and_size_are_named_errors(argv, error, capsys):
                                   ["dyadic", "bk", "--kmin", "2", "--kmax", "1"],
                                   *(["extrapolate", "--n", "4", "--q", q]
                                     for q in ("-0.5", "0", "1", "nan")),
-                                  ["symcalc", "factorize", "--which", "7"]])
+                                  ["symcalc", "factorize", "--which", "7"],
+                                  ["divdiff", "--f", "nosuch", "--nodes", "1"],
+                                  ["divdiff", "--f", "sin", "--nodes", ","],
+                                  ["dyadic", "bk", "--j0", "4"],
+                                  ["schur", "--symbol", "nosuch"]])
 def test_bad_parameter_is_named_validation_error(argv, capsys):
-    # these exited 2 through a plain ValueError, except extrapolate --q -0.5,
-    # which ran on interleaved signs
+    # these exited 2 through a plain ValueError (the last four printed
+    # "error [ValueError]" or "error [KeyError]"), except extrapolate
+    # --q -0.5, which ran on interleaved signs
     assert main(argv) == 2
     assert "error [BadParameter]" in capsys.readouterr().err
+
+
+def test_unknown_symbol_names_the_known_ones(capsys):
+    assert main(["schur", "--symbol", "nosuch"]) == 2
+    err = capsys.readouterr().err
+    assert "known: ['ones', '@file', 'tplus', 'tminus', 'mplus', 'diag']" in err
+
+
+def test_nan_exponents_are_validation_errors(capsys):
+    # printed "best ratio 0" and exited 0
+    assert main(["dyadic", "probe", "--p", "nan", "--p1", "nan", "--p2", "nan",
+                 "--trials", "2"]) == 2
+    assert "error [BadExponent]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("band", ["nan", "inf", "1e300"])
@@ -389,7 +409,6 @@ def test_manifest_config_holds_only_option_dests(tmp_path, capsys):
 
 
 def test_symbol_file_roundtrip(tmp_path, capsys):
-    from schurlab.matrixnum import write_matrix
     rng = np.random.default_rng(0)
     tab = rng.uniform(-1, 1, (4, 4)).astype(complex)
     path = tmp_path / "sym.txt"
@@ -399,6 +418,20 @@ def test_symbol_file_roundtrip(tmp_path, capsys):
                  "--iterations", "10"]) == 0
     out = capsys.readouterr().out
     assert "achieved ratio" in out
+
+
+def test_csv_field_with_a_comma_is_quoted(tmp_path, capsys):
+    # the symbol field "@<dir>/a,b.txt" used to split the row in two
+    path = tmp_path / "a,b.txt"
+    write_matrix(path, np.arange(9.0).reshape(3, 3))
+    out = tmp_path / "run"
+    assert main(["--out", str(out), "schur", "--symbol", f"@{path}", "--n", "3",
+                 "--p", "2", "--restarts", "1", "--iterations", "2"]) == 0
+    with open(out / "schur.csv", newline="") as fh:
+        header, row = csv.reader(fh)
+    assert header == ["kind", "symbol", "n", "p1", "p2", "p", "ratio"]
+    assert row[:6] == ["linear", f"@{path}", "3", "2", "", "2"]
+    assert f'"@{path}"' in (out / "schur.csv").read_text()
 
 
 def test_hms_subcommand(capsys):

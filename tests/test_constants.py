@@ -34,6 +34,16 @@ def test_exponent_triple_validation():
         ExponentTriple(1.0, 2.0, 2.0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: C_BMO(math.nan), lambda: C_BMO(math.inf), lambda: kappa(math.nan, 2.0),
+    lambda: kappa(2.0, math.nan), lambda: kappa(2.0, math.inf), lambda: kappa(math.inf, 2.0),
+    lambda: conj(math.nan), lambda: beta(math.nan), lambda: ExponentTriple(2.0, math.nan, 4.0)])
+def test_nan_and_infinite_exponents_raise(call):
+    # C_BMO and kappa returned NaN (kappa(2, inf) 2e, kappa(inf, 2) inf)
+    with pytest.raises(BadExponent):
+        call()
+
+
 def test_C_value():
     t = ExponentTriple(2.0, 4.0, 4.0)
     expected = 1024.0 / 9.0 + 256.0 / 3.0 + 256.0 / 3.0 + 4096.0 / 27.0

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -457,20 +458,44 @@ def test_thetas_equal_formula_bitwise_at_piece_edges(epsilon, band):
                 -1e17, np.array([1e17, 0.3, -1e-17, 4 * math.pi, -4 * math.pi])):
         want = _theta_bytes(lambda x: _thetas_by_arcs(P, x), phi)
         assert _theta_bytes(P.thetas, phi) == want
-    with pytest.raises(BadParameter, match="normalizing sum 0 at angle nan"):
+    # a NaN angle raised BadParameter "normalizing sum 0 at angle nan", blaming the band
+    with pytest.raises(NonFiniteNode, match=r"theta needs finite input, got \[nan\]"):
         P.thetas(np.array([0.3, math.nan]))
 
 
 def test_normalizing_sum_error_names_the_first_bad_angle():
     # the ramp angles go through the formula in chunks; the first bad angle
-    # sits in the second chunk, a later one in the third
-    P = SectorPartition(band=0.3)
-    phi = np.linspace(0.0, 6.0, 3 * _FORMULA_CHUNK)
+    # sits in the second chunk, a later one in the third.  At band 50 every
+    # angle is on a ramp, and the sum underflows to 0 at 1.68 and 4.8 but
+    # not at 0.3 (6e-61).  These bad angles were -inf and nan, which now
+    # raise NonFiniteNode (test_non_finite_angles_raise_non_finite_node)
+    P = SectorPartition(band=50.0)
+    phi = np.full(3 * _FORMULA_CHUNK, 0.3)
+    phi[_FORMULA_CHUNK + 7] = 1.68
+    phi[2 * _FORMULA_CHUNK + 3] = 4.8
+    with pytest.raises(BadParameter, match="normalizing sum 0 at angle 1.68, band 50.0"):
+        P.thetas(phi)
+
+
+def test_non_finite_angles_raise_non_finite_node(P):
+    # a_values returned NaN a_i at (0, inf, 1) with only RuntimeWarnings, and
+    # thetas raised BadParameter "normalizing sum 0", which blamed the band;
+    # at band 50 every angle is on a ramp, so phi fills three chunks; the
+    # non-finite angles of the first chunk that holds any are named
+    phi = np.full(3 * _FORMULA_CHUNK, 0.3)
     phi[_FORMULA_CHUNK + 7] = -math.inf
     phi[2 * _FORMULA_CHUNK + 3] = math.nan
-    with np.errstate(invalid="ignore"), \
-            pytest.raises(BadParameter, match="normalizing sum 0 at angle -inf, band 0.3"):
-        P.thetas(phi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteNode, match="a_values"):
+            a_values(0.0, math.inf, 1.0, P)
+        with pytest.raises(NonFiniteNode, match="a_values"):
+            a_values(np.array([0.0, 0.5]), 1.0, np.array([2.0, math.nan]), P)
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(NonFiniteNode, match=rf"theta needs finite input, got \[{bad}\]"):
+                P.thetas(bad)
+        with pytest.raises(NonFiniteNode, match=r"got \[-inf\]$"):
+            SectorPartition(band=50.0).thetas(phi)
 
 
 def test_a_symbol_frozen(P):
@@ -508,6 +533,8 @@ def test_sector_index_is_validated(P, j):
         P.theta_of_angle(j, 2.0)
     with pytest.raises(BadParameter, match="sector index must be 1, 2 or 3"):
         theta(j, (1.0, -1.0), P)
+    with pytest.raises(BadParameter, match="sector index must be 1, 2 or 3"):
+        psi(j, (0.0, 1.0, 2.0))  # a bare KeyError before
 
 
 # ----------------------------------------------------------------------------

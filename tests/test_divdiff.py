@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schurlab.divdiff import (divdiff_partial, divdiff_two_var,
+from schurlab.divdiff import (_cluster_sorted, divdiff_partial, divdiff_two_var,
                               divdiff_two_var_grid, divided_difference,
                               node_insertion_split)
 from schurlab.errors import (CoincidentPivot, DegenerateTolerance,
@@ -67,6 +67,62 @@ def test_derivative_chain_matches_finite_differences(rng):
             fd = (f.deriv(j - 1)(pts + h) - f.deriv(j - 1)(pts - h)) / (2 * h)
             scale = np.maximum(1.0, np.abs(f.deriv(j)(pts)))
             assert np.max(np.abs(fd - f.deriv(j)(pts)) / scale) < 1e-6, (name, j)
+
+
+def _horner_chain(coeffs):
+    """The polynomial derivative chain as it was hand-rolled: a Horner loop
+    from zeros_like(s) over each coefficient vector of the derivative chain."""
+    chain, c = [], np.asarray(coeffs, dtype=float)
+    for _ in range(9):
+        def f(s, cc=c.copy()):
+            s = np.asarray(s, dtype=float)
+            out = np.zeros_like(s)
+            for a in cc[::-1]:
+                out = out * s + a
+            return out
+        chain.append(f)
+        c = c[1:] * np.arange(1, len(c)) if len(c) > 1 else np.zeros(1)
+    return chain
+
+
+@pytest.mark.parametrize("name, coeffs", [("square", [0.0, 0.0, 1.0]),
+                                          ("cube", [0.0, 0.0, 0.0, 1.0])])
+def test_polynomial_chains_equal_horner_bitwise(name, coeffs, rng):
+    s = np.concatenate([[0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, 1e103, -1e103, 1e200,
+                         -1e200, np.inf, -np.inf],
+                        rng.uniform(-3.0, 3.0, 1000), rng.standard_normal(100) * 1e5])
+    f = FUNCTIONS[name]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, old in enumerate(_horner_chain(coeffs)):
+            assert f.deriv(j)(s).tobytes() == old(s).tobytes(), (name, j)
+            for x in (0.0, -0.0, 0.7, -2.5):  # scalars keep their sign of zero too
+                assert np.asarray(f.deriv(j)(x)).tobytes() == old(x).tobytes(), (name, j, x)
+
+
+def test_clusters_equal_the_scan_loop(rng):
+    # the clustering as it was hand-rolled: one scan for gaps above tol
+    def scan(nodes, tol):
+        means, sizes, start = [], [], 0
+        for i in range(1, len(nodes) + 1):
+            if i == len(nodes) or nodes[i] - nodes[i - 1] > tol:
+                means.append(float(np.mean(nodes[start:i])))
+                sizes.append(i - start)
+                start = i
+        return means, sizes
+
+    for size in (1, 2, 3, 5, 9):
+        for _ in range(50):
+            z = np.sort(rng.choice([0.0, -0.0, 1.0, 1.0 + 5e-10, 1.0 + 2e-9, -3.0, 2.5], size))
+            for tol in (1e-9, 1e-12, 1.5):
+                assert _cluster_sorted(z, tol) == scan(z, tol)
+
+
+def test_trig_chains_cycle_with_period_four():
+    s = np.array([0.0, -0.0, 0.3, -1.2, 4.0])
+    cycle = (np.sin(s), np.cos(s), -np.sin(s), -np.cos(s))
+    for name, shift in (("sin", 0), ("cos", 1)):
+        for j in range(9):
+            assert FUNCTIONS[name].deriv(j)(s).tobytes() == cycle[(j + shift) % 4].tobytes()
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import mpmath as mp
 import numpy as np
@@ -226,6 +227,9 @@ def test_lp_schatten_norm(D):
     f = StepFunction(D, vals)
     assert lp_schatten_norm(f, 2.0) == pytest.approx(2.0)
     assert lp_schatten_norm(f, 4.0) == pytest.approx(2.0)
+    assert lp_schatten_norm(f, math.inf) == 2.0
+    with pytest.raises(BadExponent):
+        lp_schatten_norm(f, math.nan)  # returned NaN
 
 
 def test_lp_schatten_norm_large_exponent(D, rng):

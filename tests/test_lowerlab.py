@@ -251,6 +251,14 @@ def test_sweep_ratios_and_duality():
     assert rows_p[0].m_plus_ratio == pytest.approx(rows_p[1].m_plus_ratio, rel=0.10)
 
 
+@pytest.mark.parametrize("run, variant", [(theorem_b1_experiment, "B1"),
+                                          (theorem_b2_experiment, "B2")])
+def test_experiment_size_must_match_its_discretization(run, variant):
+    # ran silently at n = 6, rebuilding the discretization at that size
+    with pytest.raises(BadParameter, match="n = 6"):
+        run(2.0, 6, GeometricDiscretization(0.5, 40, variant, 4), Budget(1, 2))
+
+
 def test_budget_monotonicity_of_implied_bound():
     d = GeometricDiscretization(0.5, 40, "B1", 12)
     small = theorem_b1_experiment(3.0, 12, d, Budget(3, 15, 5))

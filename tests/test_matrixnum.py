@@ -130,6 +130,17 @@ def test_bad_exponents():
         holder_split(np.ones((2, 3)), 2.0)
 
 
+def test_nan_exponents_raise():
+    # schatten_norm returned NaN, holder_split factors
+    for call in (lambda p: schatten_norm(np.eye(2), p),
+                 lambda p: schatten_norm_from_sv(np.ones(2), p),
+                 lambda p: holder_split(np.eye(2), p)):
+        with pytest.raises(BadExponent):
+            call(math.nan)
+        call(math.inf)  # closed at infinity
+        call(1.0)
+
+
 def test_matrix_io_roundtrip(tmp_path, rng):
     a = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
     path = tmp_path / "m.txt"
@@ -137,6 +148,20 @@ def test_matrix_io_roundtrip(tmp_path, rng):
     b = read_matrix(path)
     assert b.shape == a.shape
     assert np.array_equal(a, b)  # 17 significant digits round-trip exactly
+
+
+def test_matrix_file_text(tmp_path):
+    # signed zeros, extreme magnitudes, and a transposed (non-contiguous) input
+    a = np.array([[complex(-0.0, 1e300), complex(1.0 / 3.0, -2.5e-300), 7.0],
+                  [complex(0.0, -0.0), complex(-1e-300, 0.1), 2.0 ** 0.5]]).T
+    path = tmp_path / "m.txt"
+    write_matrix(path, a)
+    assert path.read_text() == (
+        "3 2\n"
+        "-0 1.0000000000000001e+300 0 -0\n"
+        "0.33333333333333331 -2.5e-300 -1e-300 0.10000000000000001\n"
+        "7 0 1.4142135623730951 0\n")
+    assert np.array_equal(read_matrix(path), a)
 
 
 def test_every_blas_caller_runs_on_one_thread(monkeypatch, rng):

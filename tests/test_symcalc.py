@@ -108,7 +108,8 @@ def test_size_smoothness_harmonic():
 
 
 def test_size_smoothness_equals_kernel_functions_bitwise():
-    # one kernel sum per radius gives what kernel_eval and kernel_gradient give
+    # the kernel sums on the (radii x angles) grid give at each radius what
+    # kernel_eval and kernel_gradient give
     m, th = harmonic_symbol(3, real=True), TWO_PI * np.arange(333) / 333
     rep = size_smoothness_check(m, radii=(1.0, 7.3), K=64, n_angles=333)
     for r, c1, c2 in zip((1.0, 7.3), rep.c1_per_annulus, rep.c2_per_annulus):
@@ -116,6 +117,17 @@ def test_size_smoothness_equals_kernel_functions_bitwise():
         gx, gy = kernel_gradient(m, z, K=64)
         assert c1 == float(np.max(np.abs(kernel_eval(m, z, K=64))) * r ** 2)
         assert c2 == float(np.max(np.hypot(np.abs(gx), np.abs(gy))) * r ** 3)
+
+
+def test_size_smoothness_annuli_equal_one_radius_calls():
+    # all annuli go through one kernel sum on the (radii x angles) grid
+    radii = (0.25, 1.0, 3.7, 10.0, 1e3)
+    for m in (harmonic_symbol(1), sine_symbol(3), bump_symbol()):
+        rep = size_smoothness_check(m, radii=radii)
+        ones = [size_smoothness_check(m, radii=(r,)) for r in radii]
+        assert rep.c1_per_annulus == tuple(o.c1_hat for o in ones)
+        assert rep.c2_per_annulus == tuple(o.c2_hat for o in ones)
+        assert (rep.c1_hat, rep.c2_hat) == (max(rep.c1_per_annulus), max(rep.c2_per_annulus))
 
 
 def test_size_smoothness_zero():
