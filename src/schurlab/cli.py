@@ -79,8 +79,20 @@ def _emit(args, name, header, rows, summary: str, extra=None):
             json.dump(manifest, fh, indent=2, default=str)
 
 
-def _parse_floats(text: str):
+# argparse types: a ValueError is a usage error that names the option
+def float_list(text: str) -> list:
+    """Comma-separated floats; empty items are skipped."""
     return [float(t) for t in text.split(",") if t]
+
+
+def float_pair(text: str) -> tuple:
+    lo, hi = float_list(text)
+    return lo, hi
+
+
+def int_triple(text: str) -> tuple:
+    a, b, c = (int(t) for t in text.split(","))
+    return a, b, c
 
 
 def _budget(args) -> Budget:
@@ -93,10 +105,9 @@ def _budget(args) -> Budget:
 
 def cmd_divdiff(args):
     f = get_function(args.f)
-    nodes = _parse_floats(args.nodes)
-    val = divided_difference(f, nodes, tol=args.tol)
+    val = divided_difference(f, args.nodes, tol=args.tol)
     _emit(args, "divdiff", ["f", "nodes", "value"],
-          [[args.f, ";".join(_fmt(v) for v in nodes), val]], _fmt(val))
+          [[args.f, ";".join(_fmt(v) for v in args.nodes), val]], _fmt(val))
 
 
 DECOMP_BLOCK = 4096  # random triples drawn and checked per vectorized pass
@@ -137,11 +148,10 @@ def cmd_decomp(args):
 
 def cmd_hms(args):
     f = get_function(args.f)
-    lo, hi = _parse_floats(args.box)
-    grid = GridSpec(box=(lo, hi), points=args.grid_points)
+    grid = GridSpec(box=args.box, points=args.grid_points)
     sym = symbol_from_divdiff(f, args.n, args.k)
     rep = hms_norm(sym, grid)
-    bound = hms_theorem_bound(args.n, args.k, f, interval=(lo, hi))
+    bound = hms_theorem_bound(args.n, args.k, f, interval=args.box)
     summary = (f"hms {args.f} n={args.n} k={args.k}: value {rep.value:.9g} "
                f"<= bound {bound:.9g}")
     _emit(args, "hms", ["f", "n", "k", "hms_value", "theorem_bound"],
@@ -159,7 +169,7 @@ _PROFILES = {
 def cmd_symcalc(args):
     if args.action == "kernel":
         m = _PROFILES[args.profile]()
-        rep = size_smoothness_check(m, radii=tuple(_parse_floats(args.radii)), K=args.K)
+        rep = size_smoothness_check(m, radii=args.radii, K=args.K)
         summary = (f"kernel {args.profile}: C1_hat {rep.c1_hat:.9g} "
                    f"C2_hat {rep.c2_hat:.9g} tail {rep.tail:.3e}")
         _emit(args, "symcalc_kernel",
@@ -207,7 +217,7 @@ def cmd_schur(args):
         raise BadParameter(f"unknown symbol {args.symbol!r}; known: "
                            f"{['ones', '@file', *_LINEAR_SYMBOLS]}")
     if args.labels:
-        X = PointSet(tuple(_parse_floats(args.labels)))
+        X = PointSet(tuple(args.labels))
     else:
         X = PointSet.integers(args.n)
     exps = args.p if args.kind == "linear" else (args.p1, args.p2, args.p)
@@ -228,7 +238,7 @@ def cmd_lowerlab(args):
               [[rep.variant, rep.q, rep.k, rep.n, rep.max_discrepancy,
                 rep.exponent_gap_bound]], str(rep))
     elif args.action == "sweep":
-        rows = truncation_norm_sweep(_parse_floats(args.plist), args.n, _budget(args))
+        rows = truncation_norm_sweep(args.plist, args.n, _budget(args))
         out = [[r.p, r.t_plus_ratio, r.m_plus_ratio] for r in rows]
         summary = "; ".join(f"p={r.p:g}: T+ {r.t_plus_ratio:.6g} M+ {r.m_plus_ratio:.6g}"
                             for r in rows)
@@ -259,26 +269,25 @@ def cmd_lowerlab(args):
 def cmd_dyadic(args):
     D = DyadicSystem(args.kmin, args.kmax)
     rng = np.random.default_rng(args.seed)
-    complexity = tuple(int(v) for v in _parse_floats(args.complexity))
     if args.action == "bk":
         check_count("specs", args.specs)
         worst = 0.0
         for _ in range(args.specs):
-            spec = random_admissible_spec(D, complexity, args.j0, rng)
+            spec = random_admissible_spec(D, args.complexity, args.j0, rng)
             worst = max(worst, bk_bound_check(spec, samples=args.samples,
                                               seed=args.seed))
         summary = f"bk: max |b_K| = {worst:.12g} over {args.specs} specs"
         _emit(args, "dyadic_bk", ["complexity", "j0", "specs", "max_bk"],
-              [[";".join(str(c) for c in complexity), args.j0, args.specs, worst]],
+              [[";".join(str(c) for c in args.complexity), args.j0, args.specs, worst]],
               summary)
     else:  # probe
-        spec = random_admissible_spec(D, complexity, args.j0, rng)
+        spec = random_admissible_spec(D, args.complexity, args.j0, rng)
         ratio = shift_norm_probe(spec, args.p1, args.p2, args.p,
                                  trials=args.trials, d=args.d, seed=args.seed)
         summary = f"probe ({args.p1:g},{args.p2:g},{args.p:g}): best ratio {ratio:.9g}"
         _emit(args, "dyadic_probe",
               ["complexity", "j0", "p1", "p2", "p", "d", "trials", "ratio"],
-              [[";".join(str(c) for c in complexity), args.j0, args.p1, args.p2,
+              [[";".join(str(c) for c in args.complexity), args.j0, args.p1, args.p2,
                 args.p, args.d, args.trials, ratio]], summary)
 
 
@@ -336,7 +345,7 @@ def build_parser():
 
     p = sub.add_parser("divdiff", help="evaluate a divided difference at given nodes")
     opt(p, "--f", required=True)
-    opt(p, "--nodes", required=True, help="comma-separated node list")
+    opt(p, "--nodes", type=float_list, required=True, help="comma-separated node list")
     opt(p, "--tol", type=float, default=1e-9)
     p.set_defaults(func=cmd_divdiff)
 
@@ -356,7 +365,7 @@ def build_parser():
     opt(p, "--f", default="sin")
     opt(p, "--n", type=int, default=2)
     opt(p, "--k", type=int, default=1)
-    opt(p, "--box", default="-5,5")
+    opt(p, "--box", type=float_pair, default="-5,5")
     opt(p, "--grid-points", type=int, default=512)
     p.set_defaults(func=cmd_hms)
 
@@ -365,7 +374,7 @@ def build_parser():
     opt(p, "action", choices=["kernel", "factorize", "reconstruct"])
     opt(p, "--profile", choices=sorted(_PROFILES), default="harmonic1")
     opt(p, "--K", type=int, default=256)
-    opt(p, "--radii", default="1,10")
+    opt(p, "--radii", type=float_list, default="1,10")
     opt(p, "--which", type=int, nargs="+", default=[3, 4, 5, 6])
     opt(p, "--epsilon", type=float, default=math.pi / 32)
     opt(p, "--band", type=float, default=None,
@@ -379,7 +388,7 @@ def build_parser():
     opt(p, "--symbol", default="mplus",
            help="named symbol or @file for a tabulated grid")
     opt(p, "--n", type=int, default=16)
-    opt(p, "--labels", default=None)
+    opt(p, "--labels", type=float_list, default=None)
     opt(p, "--p", type=float, default=4.0)
     opt(p, "--p1", type=float, default=4.0)
     opt(p, "--p2", type=float, default=4.0)
@@ -395,7 +404,7 @@ def build_parser():
     opt(p, "--k", type=int, default=40)
     opt(p, "--n", type=int, default=32)
     opt(p, "--p", type=float, default=4.0)
-    opt(p, "--plist", default="4,8,16")
+    opt(p, "--plist", type=float_list, default="4,8,16")
     opt(p, "--restarts", type=int, default=20)
     opt(p, "--iterations", type=int, default=60)
     p.set_defaults(func=cmd_lowerlab)
@@ -404,7 +413,7 @@ def build_parser():
     opt(p, "action", choices=["bk", "probe"])
     opt(p, "--kmin", type=int, default=-4)
     opt(p, "--kmax", type=int, default=2)
-    opt(p, "--complexity", default="1,1,1")
+    opt(p, "--complexity", type=int_triple, default="1,1,1")
     opt(p, "--j0", type=int, default=3)
     opt(p, "--specs", type=int, default=100)
     opt(p, "--samples", type=int, default=64)

@@ -101,13 +101,12 @@ def divided_difference(f: ScalarFunction, nodes: Sequence[float], tol: float = D
     return float(newton_table(f, np.repeat(means, sizes)))
 
 
-def divdiff_two_var(f: ScalarFunction, n: int, k: int, lam: float, mu: float,
-                    tol: float = DEFAULT_TOL) -> float:
+def divdiff_two_var(f: ScalarFunction, n: int, k: int, lam: float, mu: float) -> float:
     """f^[n] at lambda repeated k times and mu repeated n+1-k times."""
     if not 0 <= k <= n + 1:
         raise BadParameter(f"need 0 <= k <= n+1, got k={k}, n={n}")
     nodes = [lam] * k + [mu] * (n + 1 - k)
-    return divided_difference(f, nodes, tol)
+    return divided_difference(f, nodes)
 
 
 def divdiff_two_var_grid(f: ScalarFunction, n: int, k: int, lam, mu):
@@ -121,7 +120,7 @@ def divdiff_two_var_grid(f: ScalarFunction, n: int, k: int, lam, mu):
 
 
 def divdiff_partial(f: ScalarFunction, n: int, k: int, lam: float, mu: float,
-                    which: str = "lambda", tol: float = DEFAULT_TOL) -> float:
+                    which: str = "lambda") -> float:
     """Analytic partial of (lam, mu) -> f^[n](lam^(k), mu^(n+1-k)).
 
     d/dlam = k * f^[n+1](lam^(k+1), mu^(n+1-k)),
@@ -133,14 +132,13 @@ def divdiff_partial(f: ScalarFunction, n: int, k: int, lam: float, mu: float,
         raise OrderUnsupported(
             f"partials of order-{n} divided differences need f^({n + 1})")
     if which in ("lambda", "lam"):
-        return k * divdiff_two_var(f, n + 1, k + 1, lam, mu, tol)
+        return k * divdiff_two_var(f, n + 1, k + 1, lam, mu)
     if which == "mu":
-        return (n + 1 - k) * divdiff_two_var(f, n + 1, k, lam, mu, tol)
+        return (n + 1 - k) * divdiff_two_var(f, n + 1, k, lam, mu)
     raise BadParameter(f"which must be 'lambda' or 'mu', got {which!r}")
 
 
-def node_insertion_split(f: ScalarFunction, nodes: Sequence[float], i: int, j: int,
-                         mu: float, tol: float = DEFAULT_TOL):
+def node_insertion_split(f: ScalarFunction, nodes: Sequence[float], i: int, j: int, mu: float):
     """Two-term split of f^[n] obtained by inserting the extra node mu.
 
     Returns (lhs, rhs, lhs - rhs) where
@@ -157,7 +155,7 @@ def node_insertion_split(f: ScalarFunction, nodes: Sequence[float], i: int, j: i
     with_mu_at_j[j] = mu
     with_mu_at_i = list(nodes)
     with_mu_at_i[i] = mu
-    lhs = divided_difference(f, nodes, tol)
-    rhs = ((li - mu) / (li - lj)) * divided_difference(f, with_mu_at_j, tol) \
-        + ((mu - lj) / (li - lj)) * divided_difference(f, with_mu_at_i, tol)
+    lhs = divided_difference(f, nodes)
+    rhs = ((li - mu) / (li - lj)) * divided_difference(f, with_mu_at_j) \
+        + ((mu - lj) / (li - lj)) * divided_difference(f, with_mu_at_i)
     return lhs, rhs, lhs - rhs

@@ -216,11 +216,10 @@ def martingale_difference(f: StepFunction, q: Cube) -> StepFunction:
     return StepFunction(D, h[:, None, None] * coef[None, :, :])
 
 
-def haar_reconstruction(f: StepFunction, top: Cube = None) -> StepFunction:
-    """sum_{Q below top} D_Q f plus the top average; equals f on the top cube."""
+def haar_reconstruction(f: StepFunction) -> StepFunction:
+    """sum_{Q below the window's top cube} D_Q f plus its average; equals f."""
     D = f.system
-    if top is None:
-        top = D.cubes(D.k_max)[0]
+    top = D.cubes(D.k_max)[0]
     out = np.zeros_like(f.values)
     stack = [top]
     while stack:

@@ -89,8 +89,8 @@ def get_function(name: str) -> ScalarFunction:
     return FUNCTIONS[name]
 
 
-def sup_deriv(f: ScalarFunction, n: int, lo: float, hi: float, samples: int = 2048) -> float:
-    """Sup of |f^(n)| on [lo, hi]; for s*|s| and n = 2 the weak derivative bound 2."""
+def sup_deriv(f: ScalarFunction, n: int, lo: float, hi: float) -> float:
+    """Sup of |f^(n)| on [lo, hi] from 2048 samples; for s*|s| and n = 2 the weak bound 2."""
     if f.kind == KIND_GENERALIZED_ABS and n == 2:
         return 2.0
-    return f.max_abs_deriv(n, lo, hi, samples)
+    return f.max_abs_deriv(n, lo, hi, 2048)

@@ -37,22 +37,21 @@ _BLOCK_ROWS = 32  # grid rows per block of hms_norm
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Chebyshev tensor grid on box^2 with a strip of width margin removed
-    around the diagonal."""
+    """Chebyshev tensor grid on box^2 with a strip of width margin = 1e-3 (hi - lo)
+    removed around the diagonal."""
 
     box: tuple = (-5.0, 5.0)
     points: int = 512
-    margin: float = None
 
     def __post_init__(self):
         lo, hi = self.box
-        if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+        if not (math.isfinite(lo) and math.isfinite(hi) and self.margin > 0):
             raise BadGrid(f"box must be finite with positive width, got {self.box}")
         check_count("points", self.points, 2)
-        if self.margin is None:
-            object.__setattr__(self, "margin", 1e-3 * (hi - lo))
-        if not self.margin > 0:
-            raise DiagonalMargin(f"diagonal margin must be positive, got {self.margin}")
+
+    @property
+    def margin(self) -> float:
+        return 1e-3 * (self.box[1] - self.box[0])
 
     def nodes(self) -> np.ndarray:
         lo, hi = self.box
@@ -126,7 +125,6 @@ class HmsReport:
     value: float
     sup_abs: float
     sup_weighted: float
-    grid: GridSpec
     points_used: int
 
 
@@ -153,7 +151,7 @@ def hms_norm(sym: TwoVariableSymbol, grid: GridSpec = GridSpec()) -> HmsReport:
     if used == 0:
         raise DiagonalMargin("grid left no admissible sample points")
     sup_abs, sup_w = float(np.max(sups_abs)), float(np.max(sups_w))
-    return HmsReport(sup_abs + sup_w, sup_abs, sup_w, grid, used)
+    return HmsReport(sup_abs + sup_w, sup_abs, sup_w, used)
 
 
 def hms_theorem_bound(n: int, k: int, f: ScalarFunction, interval=(-5.0, 5.0)) -> float:
@@ -167,18 +165,17 @@ def hms_theorem_bound(n: int, k: int, f: ScalarFunction, interval=(-5.0, 5.0)) -
     return (2 * n + 3) / math.factorial(n) * sup_deriv(f, n, *interval)
 
 
-def lemma43_check(n: int, k: int, gamma: int, f: ScalarFunction, samples: int = 1000,
-                  box=(-5.0, 5.0), seed: int = 0) -> float:
-    """Max over random samples of lhs - rhs for the weighted derivative bound;
-    non-positive up to roundoff when the bound holds."""
+def lemma43_check(n: int, k: int, gamma: int, f: ScalarFunction, samples: int = 1000) -> float:
+    """Max over random samples in (-5, 5)^2 (seed 0) of lhs - rhs for the weighted
+    derivative bound; non-positive up to roundoff when the bound holds."""
     if gamma not in (0, 1) or gamma > min(k, n + 1 - k):
         raise OrderUnsupported(
             f"need 0 <= gamma <= min(k, n+1-k) and gamma <= 1, got {gamma}")
     if f.kind == KIND_GENERALIZED_ABS or n + gamma > f.max_order:
         raise OrderUnsupported(f"{f.name} lacks derivatives of order {n + gamma}")
     sym = symbol_from_divdiff(f, n, k)  # BadParameter unless 1 <= k <= n
-    rng = np.random.default_rng(seed)
-    lo, hi = box
+    rng = np.random.default_rng(0)
+    lo, hi = -5.0, 5.0
     lam = rng.uniform(lo, hi, samples)
     mu = rng.uniform(lo, hi, samples)
     shift = np.where(mu >= lam, _MIN_GAP, -_MIN_GAP)

@@ -162,13 +162,16 @@ def write_matrix(path, a):
 
 
 def read_matrix(path) -> np.ndarray:
+    """A write_matrix file, signed zeros kept; BadParameter names a malformed file."""
     with open(path) as fh:
         tokens = fh.read().split()
     if len(tokens) < 2:
         raise BadParameter(f"{path}: missing header")
-    rows, cols = int(tokens[0]), int(tokens[1])
-    data = np.asarray([float(t) for t in tokens[2:]], dtype=float)
-    if data.size != 2 * rows * cols:
-        raise BadParameter(f"{path}: expected {2 * rows * cols} numbers, got {data.size}")
-    data = data.reshape(rows * cols, 2)
-    return (data[:, 0] + 1j * data[:, 1]).reshape(rows, cols)
+    try:
+        rows, cols = int(tokens[0]), int(tokens[1])
+        data = np.asarray([float(t) for t in tokens[2:]], dtype=float)
+    except ValueError as exc:
+        raise BadParameter(f"{path}: {exc}") from None
+    if min(rows, cols) < 0 or data.size != 2 * rows * cols:
+        raise BadParameter(f"{path}: header {rows} {cols} does not match {data.size} numbers")
+    return data.view(complex).reshape(rows, cols)

@@ -21,7 +21,7 @@ opposite quadrants have equal constants and one factorization gives both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -76,14 +76,13 @@ def sine_symbol(k: int) -> HomogeneousSymbol:
     return HomogeneousSymbol(lambda th: np.sin(k * th), parity)
 
 
-def bump_symbol(arc=(math.pi / 8, 3 * math.pi / 8), width: float = None) -> HomogeneousSymbol:
-    """Smooth bump supported in the given angular arc (first quadrant default).
+def bump_symbol() -> HomogeneousSymbol:
+    """Smooth bump supported in the angular arc (pi/8, 3pi/8) of the first quadrant.
 
-    The default transition width (b-a)/2 makes the two smoothsteps meet in the
+    The transition width (b-a)/2 makes the two smoothsteps meet in the
     middle, which maximizes the decay rate of the factorization transform."""
-    a, b = arc
-    if width is None:
-        width = (b - a) / 2
+    a, b = math.pi / 8, 3 * math.pi / 8
+    width = (b - a) / 2
 
     def profile(th):
         th = np.mod(np.asarray(th, dtype=float), TWO_PI)
@@ -121,10 +120,10 @@ def circle_fourier_coeffs(m: HomogeneousSymbol, K: int) -> CircleCoefficients:
     return CircleCoefficients(K, c[np.arange(-K, K + 1) % n])
 
 
-def coeff_tail_bound(m: HomogeneousSymbol, K: int, factor: int = 4) -> float:
-    """Recorded tail sum_{K < |k| <= factor*K} |k| |alpha_k|."""
-    big = circle_fourier_coeffs(m, factor * K)
-    ks = np.arange(-factor * K, factor * K + 1)
+def coeff_tail_bound(m: HomogeneousSymbol, K: int) -> float:
+    """Recorded tail sum_{K < |k| <= 4K} |k| |alpha_k|."""
+    big = circle_fourier_coeffs(m, 4 * K)
+    ks = np.arange(-4 * K, 4 * K + 1)
     mask = np.abs(ks) > K
     return float(np.sum(np.abs(ks[mask]) * np.abs(big.alphas[mask])))
 
@@ -209,10 +208,6 @@ def size_smoothness_check(m: HomogeneousSymbol, radii=(1.0, 10.0), K: int = 256,
 # quadrant factorization
 # ----------------------------------------------------------------------------
 
-def _quadrant_mask(theta, sigma1: int, sigma2: int):
-    return (sigma1 * np.cos(theta) > 0) & (sigma2 * np.sin(theta) > 0)
-
-
 @dataclass
 class S1Factorization:
     sigma1: int
@@ -222,7 +217,6 @@ class S1Factorization:
     C_m: float
     t_window: tuple
     t_points: int
-    tail_density: float = field(default=0.0)  # |g(S)| (1+2S)^2 at the grid edge
 
     def reconstruct(self, xi1, xi2):
         """int g(s) |xi1|^{is} |xi2|^{-is} ds on the quadrant by the trapezoid rule on
@@ -261,8 +255,7 @@ def s1_factorize(m: HomogeneousSymbol, quadrant=( -1, 1), S: float = 40.0,
 
     The profile is checked to vanish (up to _SUPPORT_TOL) outside the open
     quadrant; the t-integral runs over the detected support padded by 2.  g comes
-    from Bluestein's chirp-z transform, whose absolute error is about
-    eps log(N + T) max|g|: a tail_density below ~1e-15 (1+2S)^2 is rounding noise.
+    from Bluestein's chirp-z transform, whose absolute error is about eps log(N + T) max|g|.
     """
     sigma1, sigma2 = quadrant
     if sigma1 not in (-1, 1) or sigma2 not in (-1, 1):
@@ -271,7 +264,7 @@ def s1_factorize(m: HomogeneousSymbol, quadrant=( -1, 1), S: float = 40.0,
         raise BadGrid(f"need finite S > 0, N >= 2, t_points >= 2; got {S}, {N}, {t_points}")
     probe = TWO_PI * np.arange(8192) / 8192
     vals = np.asarray(m.profile(probe), dtype=complex)
-    outside = ~_quadrant_mask(probe, sigma1, sigma2)
+    outside = ~((sigma1 * np.cos(probe) > 0) & (sigma2 * np.sin(probe) > 0))
     if np.max(np.abs(vals[outside]), initial=0.0) > _SUPPORT_TOL:
         raise SupportViolation(
             f"symbol mass outside quadrant ({sigma1:+d},{sigma2:+d}) exceeds {_SUPPORT_TOL}")
@@ -298,9 +291,7 @@ def s1_factorize(m: HomogeneousSymbol, quadrant=( -1, 1), S: float = 40.0,
     g = _uniform_transform(s_grid, t, h * w) / TWO_PI
     weight = (1.0 + 2.0 * np.abs(s_grid)) ** 2
     C_m = float(np.trapezoid(np.abs(g) * weight, s_grid))
-    tail_density = float(np.abs(g[0]) * weight[0] + np.abs(g[-1]) * weight[-1]) / 2
-    return S1Factorization(sigma1, sigma2, s_grid, g, C_m, (t_lo, t_hi), t_points,
-                           tail_density)
+    return S1Factorization(sigma1, sigma2, s_grid, g, C_m, (t_lo, t_hi), t_points)
 
 
 def a_base_profile(P: SectorPartition, which: int, sigma: int) -> HomogeneousSymbol:
@@ -315,9 +306,10 @@ def a_base_profile(P: SectorPartition, which: int, sigma: int) -> HomogeneousSym
 
     def profile(th):
         th = np.asarray(th, dtype=float)
-        inside = _quadrant_mask(th, -sigma, sigma)
+        c, s = np.cos(th), np.sin(th)
+        inside = (-sigma * c > 0) & (sigma * s > 0)
         out = np.zeros(th.shape)
-        out[inside] = a_values(-np.cos(th[inside]), 0.0, np.sin(th[inside]), P)[which - 1]
+        out[inside] = a_values(-c[inside], 0.0, s[inside], P)[which - 1]
         return out
 
     return HomogeneousSymbol(profile, "none")

@@ -280,9 +280,9 @@ def test_criterion_06_hms():
             val = hms_norm(symbol_from_divdiff(f, 2, k), grid).value
             assert val <= hms_theorem_bound(2, k, f), (name, k)
 
-    v = lemma43_check(2, 1, 1, get_function("sin"), samples=10000, box=(-5, 5))
+    v = lemma43_check(2, 1, 1, get_function("sin"), samples=10000)
     assert v <= 1e-9
-    v0 = lemma43_check(2, 1, 0, get_function("exp"), samples=10000, box=(-5, 5))
+    v0 = lemma43_check(2, 1, 0, get_function("exp"), samples=10000)
     assert v0 <= 1e-9
 
     for s in (0.0, 1.0, 3.0):

@@ -45,12 +45,9 @@ def test_every_public_name_has_a_caller():
 # Defaulted parameters that only tests set; a new knob must earn a caller in
 # src/ or perfbench/, or be documented in README.md as `function.parameter`.
 TEST_ONLY_KNOBS = {
-    "DyadicSystem.omega", "GridSpec.margin", "bk_bound_check.l", "kernel_eval.K",
-    "kernel_gradient.K", "lemma43_check.samples", "lemma43_check.box",
-    "lemma43_check.seed", "make_ks_symbol.sigma", "random_admissible_spec.n_cubes",
-    "size_smoothness_check.n_angles", "divdiff_partial.which", "divdiff_partial.tol",
-    "node_insertion_split.tol", "bump_symbol.arc", "bump_symbol.width",
-    "coeff_tail_bound.factor", "haar_reconstruction.top",
+    "DyadicSystem.omega", "bk_bound_check.l", "kernel_eval.K", "kernel_gradient.K",
+    "lemma43_check.samples", "make_ks_symbol.sigma", "random_admissible_spec.n_cubes",
+    "size_smoothness_check.n_angles", "divdiff_partial.which",
 }
 
 
@@ -60,12 +57,17 @@ def _is_dataclass(node):
                for d in node.decorator_list)
 
 
+def _fields(node):
+    """The annotated class-level assignments of a dataclass, in order."""
+    return [s for s in node.body
+            if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+
+
 def _defaulted(node):
     """(positional parameters in order, names of the defaulted ones) of a
     top-level function or dataclass."""
     if isinstance(node, ast.ClassDef):
-        fields = [s for s in node.body
-                  if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+        fields = _fields(node)
         return ([s.target.id for s in fields],
                 {s.target.id for s in fields if s.value is not None})
     a = node.args
@@ -92,8 +94,11 @@ def test_every_defaulted_parameter_is_set_somewhere():
             if name not in defs:
                 continue
             positional, defaulted = defs[name]
-            starred = any(isinstance(a, ast.Starred) for a in call.args)
-            given = set(positional if starred else positional[:len(call.args)])
+            # from a *sequence on, the arguments fill only parameters without
+            # a default: sup_deriv(f, n, *interval) does not set samples
+            plain = next((i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)),
+                         len(call.args))
+            given = set(positional[:plain])
             for kw in call.keywords:  # **mapping may set any parameter
                 given |= {kw.arg} if kw.arg else defaulted
             set_by_calls |= {f"{name}.{p}" for p in given & defaulted}
@@ -102,6 +107,27 @@ def test_every_defaulted_parameter_is_set_somewhere():
     assert TEST_ONLY_KNOBS <= knobs, f"stale entries: {TEST_ONLY_KNOBS - knobs}"
     unset = sorted(knobs - set_by_calls - TEST_ONLY_KNOBS - readme)
     assert not unset, f"defaulted parameters that nothing but tests set: {unset}"
+
+
+def test_every_dataclass_field_is_read():
+    # a field that src/, perfbench/ and tests/ only ever write is dead weight:
+    # reads are attribute loads and getattr(obj, "name")
+    fields = [f"{node.name}.{s.target.id}"
+              for path in sorted((ROOT / "src" / "schurlab").glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+              for s in _fields(node)]
+    read = set()
+    for directory in ("src/schurlab", "perfbench", "tests"):
+        for path in sorted((ROOT / directory).glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+                elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+                      and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)):
+                    read.add(node.args[1].value)
+    unread = [f for f in fields if f.split(".", 1)[1] not in read]
+    assert not unread, f"dataclass fields that nothing reads: {unread}"
 
 
 def test_svd_has_one_entry_point():

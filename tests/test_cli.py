@@ -94,6 +94,34 @@ def test_bad_parameter_is_named_validation_error(argv, capsys):
     assert "error [BadParameter]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, matrix", [
+    (["divdiff", "--f", "sin", "--nodes", "a"], None),
+    (["hms", "--box", "1"], None),
+    (["hms", "--box", "1,2,3"], None),
+    (["dyadic", "bk", "--complexity", "1,1"], None),
+    (["dyadic", "bk", "--complexity", "1.5,1,1"], None),
+    (["symcalc", "kernel", "--radii", "1,x"], None),
+    (["schur", "--labels", "0,x"], None),
+    (["lowerlab", "sweep", "--plist", "4,x"], None),
+    *((["schur", "--symbol", "@{}"], text)
+      for text in ("2 2\n1 0 x 0 1 0 1 0\n", "2 two\n1 0\n", "2\n", "2 2\n1 0\n",
+                   "-1 -2\n1 0 1 0\n")),
+])
+def test_malformed_list_or_matrix_file_is_named(argv, matrix, tmp_path, capsys):
+    # these printed "error [ValueError]", and --complexity 1.5,1,1 ran as 1,1,1
+    path = tmp_path / "m.txt"
+    if matrix is not None:
+        path.write_text(matrix)
+    argv = [a.format(path) for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # an argparse usage error
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2 and "ValueError" not in err
+    assert (str(path) if matrix is not None else f"argument {argv[-2]}:") in err
+
+
 def test_unknown_symbol_names_the_known_ones(capsys):
     assert main(["schur", "--symbol", "nosuch"]) == 2
     err = capsys.readouterr().err

@@ -181,6 +181,21 @@ def test_bk_zero_and_random(D):
     assert worst <= 1.0 + 1e-10
 
 
+@pytest.mark.parametrize("j0", [1, 2, 3])
+def test_bk_bound_at_every_valid_regrouping(D, j0):
+    # |b_K| <= 1 for every l with l_j0 = 0 and 0 <= l_j <= k_j, not only the
+    # default l_j = k_j; the dense extremal spec is tight at each of them
+    for complexity in itertools.product(range(3), repeat=3):
+        rng = np.random.default_rng(list(complexity))
+        specs = [random_admissible_spec(D, complexity, j0, rng) for _ in range(20)]
+        extremal = dense_extremal_spec(D, complexity, j0, D.cubes(D.k_max)[0])
+        ranges = [[0] if j == j0 else range(k + 1) for j, k in enumerate(complexity, start=1)]
+        for l in itertools.product(*ranges):
+            worst = max(bk_bound_check(spec, l=l, seed=t) for t, spec in enumerate(specs))
+            assert worst <= 1.0 + 1e-10, (complexity, l)
+            assert bk_bound_check(extremal, l=l) == pytest.approx(1.0, abs=1e-10)
+
+
 def test_bk_rejects_unspecified_regrouping(D):
     Q = D.cubes(1)[0]
     spec = dense_extremal_spec(D, (1, 1, 1), 3, Q)

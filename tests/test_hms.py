@@ -121,8 +121,6 @@ def test_lemma43_rejects_bad_gamma():
 
 
 def test_margin_validation():
-    with pytest.raises(DiagonalMargin):
-        GridSpec(margin=0.0)
     with pytest.raises(OrderUnsupported):
         hms_theorem_bound(0, 1, get_function("sin"))
 
@@ -141,9 +139,13 @@ def test_bad_point_count_is_bad_budget(points):
         GridSpec(points=points)
 
 
-def test_nan_margin_is_diagonal_margin():
+def test_empty_domain_is_diagonal_margin():
+    # a mask that keeps no grid pair leaves no sample to take the sup over
+    ks = make_ks_symbol(1.0)
+    nowhere = TwoVariableSymbol(ks.value, ks.partial_lam, ks.partial_mu,
+                                mask=lambda lam, mu: np.zeros_like(lam - mu, dtype=bool))
     with pytest.raises(DiagonalMargin):
-        GridSpec(margin=np.nan)
+        hms_norm(nowhere, GridSpec(points=16))
 
 
 def _hms_whole_grid(sym, grid):

@@ -161,7 +161,15 @@ def test_matrix_file_text(tmp_path):
         "-0 1.0000000000000001e+300 0 -0\n"
         "0.33333333333333331 -2.5e-300 -1e-300 0.10000000000000001\n"
         "7 0 1.4142135623730951 0\n")
-    assert np.array_equal(read_matrix(path), a)
+    assert read_matrix(path).tobytes() == a.tobytes()  # array_equal takes -0 == 0
+
+
+def test_matrix_io_keeps_signed_zeros(tmp_path):
+    # re + 1j * im turned both -0.0 into +0.0
+    a = np.array([complex(-0.0, 1e300), complex(1.5, -0.0)]).reshape(1, 2)
+    path = tmp_path / "m.txt"
+    write_matrix(path, a)
+    assert read_matrix(path).tobytes() == a.tobytes()
 
 
 def test_every_blas_caller_runs_on_one_thread(monkeypatch, rng):

@@ -245,7 +245,7 @@ def test_factorize_matches_dense_oracle():
 
 def test_factorize_error_floor_at_grid_edges():
     # against the exact sum of the same double inputs: at s = +-S the density
-    # |g| ~ 4e-17 is below the floor, which is what tail_density is read against
+    # |g| ~ 4e-17 is below the floor
     b = bump_symbol()
     N, T = 16384, 8192
     fac = s1_factorize(b, (1, 1), S=640, N=N, t_points=T)
