@@ -325,6 +325,11 @@ def cmd_extrapolate(args):
 # parser
 # ----------------------------------------------------------------------------
 
+# argparse reads a value that starts with a minus sign, unless it is one plain
+# number, as another option
+_MINUS_FORM = "a list that starts with '-' needs the = form, as in {}"
+
+
 def build_parser():
     """The parser, and a map from None (the top level) and each subcommand
     name to its parser and the dests of the options that parser owns."""
@@ -345,7 +350,8 @@ def build_parser():
 
     p = sub.add_parser("divdiff", help="evaluate a divided difference at given nodes")
     opt(p, "--f", required=True)
-    opt(p, "--nodes", type=float_list, required=True, help="comma-separated node list")
+    opt(p, "--nodes", type=float_list, required=True,
+           help="comma-separated node list; " + _MINUS_FORM.format("--nodes=-1,2"))
     opt(p, "--tol", type=float, default=1e-9)
     p.set_defaults(func=cmd_divdiff)
 
@@ -365,7 +371,8 @@ def build_parser():
     opt(p, "--f", default="sin")
     opt(p, "--n", type=int, default=2)
     opt(p, "--k", type=int, default=1)
-    opt(p, "--box", type=float_pair, default="-5,5")
+    opt(p, "--box", type=float_pair, default="-5,5",
+           help="lo,hi of the sampling box; " + _MINUS_FORM.format("--box=-3,3"))
     opt(p, "--grid-points", type=int, default=512)
     p.set_defaults(func=cmd_hms)
 
@@ -374,7 +381,8 @@ def build_parser():
     opt(p, "action", choices=["kernel", "factorize", "reconstruct"])
     opt(p, "--profile", choices=sorted(_PROFILES), default="harmonic1")
     opt(p, "--K", type=int, default=256)
-    opt(p, "--radii", type=float_list, default="1,10")
+    opt(p, "--radii", type=float_list, default="1,10",
+           help="comma-separated radii; " + _MINUS_FORM.format("--radii=LIST"))
     opt(p, "--which", type=int, nargs="+", default=[3, 4, 5, 6])
     opt(p, "--epsilon", type=float, default=math.pi / 32)
     opt(p, "--band", type=float, default=None,
@@ -388,7 +396,8 @@ def build_parser():
     opt(p, "--symbol", default="mplus",
            help="named symbol or @file for a tabulated grid")
     opt(p, "--n", type=int, default=16)
-    opt(p, "--labels", type=float_list, default=None)
+    opt(p, "--labels", type=float_list, default=None,
+           help="comma-separated point labels; " + _MINUS_FORM.format("--labels=-1,0,1"))
     opt(p, "--p", type=float, default=4.0)
     opt(p, "--p1", type=float, default=4.0)
     opt(p, "--p2", type=float, default=4.0)
@@ -404,7 +413,8 @@ def build_parser():
     opt(p, "--k", type=int, default=40)
     opt(p, "--n", type=int, default=32)
     opt(p, "--p", type=float, default=4.0)
-    opt(p, "--plist", type=float_list, default="4,8,16")
+    opt(p, "--plist", type=float_list, default="4,8,16",
+           help="comma-separated exponents; " + _MINUS_FORM.format("--plist=LIST"))
     opt(p, "--restarts", type=int, default=20)
     opt(p, "--iterations", type=int, default=60)
     p.set_defaults(func=cmd_lowerlab)
@@ -413,7 +423,8 @@ def build_parser():
     opt(p, "action", choices=["bk", "probe"])
     opt(p, "--kmin", type=int, default=-4)
     opt(p, "--kmax", type=int, default=2)
-    opt(p, "--complexity", type=int_triple, default="1,1,1")
+    opt(p, "--complexity", type=int_triple, default="1,1,1",
+           help="three comma-separated integers; " + _MINUS_FORM.format("--complexity=LIST"))
     opt(p, "--j0", type=int, default=3)
     opt(p, "--specs", type=int, default=100)
     opt(p, "--samples", type=int, default=64)

@@ -119,6 +119,10 @@ def asymptotics_table(pmin: float = 1.01, pmax: float = 64.0,
                       points_per_decade: int = 32) -> AsymptoticsTable:
     """D(p, 2p, 2p) over a log grid with its p^4 p* ratio and top-decade slope."""
     check_count("points_per_decade", points_per_decade)
+    check_exponent("pmin", pmin)
+    check_exponent("pmax", pmax)
+    if pmin >= pmax:
+        raise BadParameter(f"need pmin < pmax, got {pmin:g} and {pmax:g}")
     n = max(2, int(round(points_per_decade * math.log10(pmax / pmin))))
     ps = np.geomspace(pmin, pmax, n)
     dvals = np.asarray([D_constant(ExponentTriple.split(p)) for p in ps])

@@ -457,9 +457,12 @@ def lp_schatten_norm(f: StepFunction, p: float) -> float:
 def shift_norm_probe(S: ShiftSpec, p1: float, p2: float, p: float,
                      trials: int = 64, d: int = 1, seed: int = 0) -> float:
     """Best ratio ||S(f,g)|| / (||f|| ||g||) over random step-function pairs."""
+    for name, q in (("p1", p1), ("p2", p2), ("p", p)):
+        check_exponent(name, q, closed=True)
     if abs(1.0 / p - (1.0 / p1 + 1.0 / p2)) > 1e-12:
         raise BadExponent("need 1/p = 1/p1 + 1/p2")
     check_count("trials", trials)
+    check_count("d", d)
     D = S.system
     rng = np.random.default_rng(seed)
     best = 0.0

@@ -8,8 +8,9 @@ couples an intermediate index,
 Norm estimation is lower-bound only: random complex Gaussian restarts followed
 by normalized subgradient ascent on the achieved ratio, then a dual-alignment
 polish (Higham's nonlinear power method, "Estimating the matrix p-norm",
-Numer. Math. 1992) whose norming step uses the SVD.  One ascent serves both
-kinds; it works on the tuple of the multiplier's arguments.
+Numer. Math. 1992) whose norming step uses the SVD.  The ascent works on an
+operator, a forward map of the tuple of arguments and one adjoint per
+argument; a symbol table supplies one (``_table_operator``).
 
 The Schatten-norm subgradient has two paths.  For an even integer exponent
 p = 2k no SVD is needed: with f = ||Z||_F, Y = Z/f and G = Y^*Y,
@@ -35,11 +36,11 @@ matrices to real matrices, at a quarter of the complex flops.  Gaussian
 restarts stay complex, and every reported value is an SVD-measured ratio and
 every witness a complex matrix either way.
 
-The search runs its jobs on a thread pool, by default from n = POOL_MIN_N on,
-with the bundled OpenBLAS pinned to one thread (restored afterwards); the
-pool starts the longest jobs, the complex ones, first.  Each restart draws
-from its own generator and the outcomes are kept in job order, so its
-results do not depend on the BLAS or pool thread count or the schedule.
+The search runs its jobs on a thread pool (by default one thread below
+n = POOL_MIN_N) with the bundled OpenBLAS pinned to one thread, restored
+afterwards; the pool starts the longest jobs, the complex ones, first.  Each
+restart draws from its own generator and the outcomes are kept in job order,
+so its results do not depend on the BLAS or pool thread count or schedule.
 """
 
 from __future__ import annotations
@@ -203,6 +204,18 @@ def _bilinear_adjoint_second(d, tc, ac):
     return out
 
 
+def _table_operator(t, tc):
+    """(forward, adjoints) of a table on the tuple of arguments a: a 2-d table
+    maps a to t * a[0], a 3-d table to the bilinear action on (a[0], a[1]).
+    Adjoint k maps (d, a) to the gradient of Re<forward(a), d> in a[k]; tc is
+    the complex conjugate of t."""
+    if t.ndim == 2:
+        return (lambda a: t * a[0]), (lambda d, a: d * tc,)
+    return ((lambda a: _bilinear(t, a[0], a[1])),
+            (lambda d, a: _bilinear_adjoint_first(d, tc, np.conj(a[1])),
+             lambda d, a: _bilinear_adjoint_second(d, tc, np.conj(a[0]))))
+
+
 def apply_linear(m, X: PointSet, a) -> np.ndarray:
     a = _square(a, X.n)
     return _table_of(m, X, 2) * a
@@ -320,18 +333,18 @@ def bilinear_ratio(m, X: PointSet, x, y, p1: float, p2: float, p: float) -> floa
     return schatten_norm(apply_bilinear(m, X, x, y), p) / (dx * dy)
 
 
-def _ascend(t: np.ndarray, tc: np.ndarray, starts, qs, p: float, iterations: int):
+def _ascend(op, starts, qs, p: float, iterations: int):
     """One restart: the best ||M(a)||_p found over unit-S_q arguments a.
 
-    A 2-d table t acts on one argument, M(a) = t * a[0]; a 3-d table is the
-    bilinear action on two.  tc is the complex conjugate of t, shared by the
-    jobs of a search.  qs holds the argument exponents.  Normalized
-    subgradient ascent from the normalized starts is followed by an
-    alternating dual-alignment polish, one argument at a time; every polish
-    half-step is an exact partial maximization, so the objective is monotone
-    there.  Returns the best value and its argument tuple, as complex
-    matrices.  Real t, tc and starts keep every step real: the restart then
-    runs in float64.
+    op is the pair (forward, adjoints) of M on the tuple of arguments, as
+    ``_table_operator`` builds it; qs holds the argument exponents.
+    Normalized subgradient ascent from the normalized starts is followed by
+    an alternating dual-alignment polish, one argument at a time; every
+    polish half-step is an exact partial maximization, so the objective is
+    monotone there.  Returns the best value and its argument tuple, as
+    complex matrices.  An operator that maps real matrices to real ones,
+    with real starts, keeps every step real: the restart then runs in
+    float64.
 
     SVDs of a restart that runs to the end, with P = max(8, iterations // 8)
     polish steps: one per norming step, and at a non-even exponent one per
@@ -339,16 +352,7 @@ def _ascend(t: np.ndarray, tc: np.ndarray, starts, qs, p: float, iterations: int
     non-even p (start, ascent steps, polish steps, final value).  An even p
     adds one SVD that re-measures the best value.
     """
-    if t.ndim == 2:
-        def forward(a):
-            return t * a[0]
-        adjoints = (lambda d, a: d * tc,)
-    else:
-        def forward(a):
-            return _bilinear(t, a[0], a[1])
-        adjoints = (lambda d, a: _bilinear_adjoint_first(d, tc, np.conj(a[1])),
-                    lambda d, a: _bilinear_adjoint_second(d, tc, np.conj(a[0])))
-
+    forward, adjoints = op
     args = [_normalize(a, q) for a, q in zip(starts, qs)]
     best, best_args = -np.inf, tuple(args)
 
@@ -462,30 +466,26 @@ def norm_lower_search(kind: str, m, X: PointSet, exponents, budget: Budget = Bud
             rng = np.random.default_rng([budget.seed, job])
             job = tuple(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
                         for _ in qs)
-        if job[0].dtype.kind == "c":
-            return _ascend(t, tc, job, qs, p, budget.iterations)
-        return _ascend(tr, tr, job, qs, p, budget.iterations)
+        op = complex_op if job[0].dtype.kind == "c" else real_op
+        return _ascend(op, job, qs, p, budget.iterations)
 
     jobs = [checked(s) for s in seeds] + list(range(budget.restarts))
     if not jobs:
         raise BadBudget("nothing to search: no seeds and budget.restarts == 0")
     real_jobs = [not isinstance(job, int) and job[0].dtype.kind != "c" for job in jobs]
     tr = t.real.copy() if t.dtype.kind == "c" and any(real_jobs) else t
-    # conjugate in complex: a real t would keep +0.0 imaginary parts where
-    # the conjugate of a complex table has -0.0, and in the linear adjoint
-    # those signed zeros reach the SVD and move its last bits
+    # one conjugate per search, in complex: a real t would keep +0.0
+    # imaginary parts where the conjugate of a complex table has -0.0, and in
+    # the linear adjoint those signed zeros reach the SVD and move its last bits
     tc = None if all(real_jobs) else np.conj(t, dtype=complex)
-    with _one_blas_thread():
-        if workers > 1:
-            # longest first: a complex job costs about four real ones, and the
-            # last job to start bounds the pool's wall time
-            order = sorted(range(len(jobs)), key=real_jobs.__getitem__)
-            outcomes = [None] * len(jobs)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for i, outcome in zip(order, pool.map(run, [jobs[i] for i in order])):
-                    outcomes[i] = outcome
-        else:
-            outcomes = [run(job) for job in jobs]
+    real_op, complex_op = _table_operator(tr, tr), _table_operator(t, tc)
+    # longest first: a complex job costs about four real ones, and the last
+    # job to start bounds the pool's wall time
+    order = sorted(range(len(jobs)), key=real_jobs.__getitem__)
+    outcomes = [None] * len(jobs)
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
+        for i, outcome in zip(order, pool.map(run, [jobs[i] for i in order])):
+            outcomes[i] = outcome
 
     ratio, wit = max(outcomes, key=lambda o: o[0])  # the first best on ties
     return EstimateResult(ratio, wit, [o[0] for o in outcomes])

@@ -150,3 +150,20 @@ def test_every_raise_is_a_schurlab_error():
               if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
               and isinstance(node.exc.func, ast.Name) and node.exc.func.id not in known]
     assert not others, f"raises of classes outside schurlab.errors: {others}"
+
+
+def test_table_layout_is_read_in_one_place():
+    # the engine sees operators only: the n^3 kernels are called from the
+    # table's operator and from apply_bilinear, and _ascend never asks a
+    # table for its dimension
+    kernels = {"_bilinear", "_bilinear_adjoint_first", "_bilinear_adjoint_second"}
+    users = set()
+    for path in sorted((ROOT / "src" / "schurlab").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if kernels & set(_identifiers(node)):
+                users.add(getattr(node, "name", f"{path.stem} module level"))
+    assert users == {"_table_operator", "apply_bilinear"}
+    tree = ast.parse((ROOT / "src" / "schurlab" / "schur.py").read_text())
+    (ascend,) = [node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_ascend"]
+    assert "ndim" not in set(_identifiers(ascend))

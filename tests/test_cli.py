@@ -94,6 +94,35 @@ def test_bad_parameter_is_named_validation_error(argv, capsys):
     assert "error [BadParameter]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    *(["dyadic", "probe", flag, "0"] for flag in ("--p", "--p1", "--p2")),
+    ["dyadic", "probe", "--d", "-1"],
+    *(["constants", "table", flag, value]
+      for flag, value in (("--pmin", "0"), ("--pmin", "nan"), ("--pmax", "inf"),
+                          ("--pmax", "0"), ("--pmax", "-1"))),
+])
+def test_bad_probe_and_table_ranges_are_named_errors(argv, capsys):
+    # the exponents of 0 and --pmin 0 raised ZeroDivisionError, --pmax inf an
+    # OverflowError (tracebacks, which would escape main here); the others
+    # printed "error [ValueError]"
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [Bad")
+    assert "Traceback" not in err and "[ValueError]" not in err
+
+
+def test_list_starting_with_minus_needs_equals_form(capsys):
+    # argparse reads "-3,3" after a flag as another option; "--box=-3,3" works
+    with pytest.raises(SystemExit) as usage:
+        main(["hms", "--box", "-3,3"])
+    assert usage.value.code == 2
+    assert main(["hms", "--box=-3,3"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        main(["hms", "--help"])
+    assert "--box=-3,3" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv, matrix", [
     (["divdiff", "--f", "sin", "--nodes", "a"], None),
     (["hms", "--box", "1"], None),

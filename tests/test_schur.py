@@ -510,7 +510,8 @@ def _complex_search(sym, X, p, budget, seeds):
     for r in range(budget.restarts):
         rng = np.random.default_rng([budget.seed, r])
         starts.append(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    return [schur._ascend(t, tc, (a,), (p,), p, budget.iterations)[0] for a in starts]
+    return [schur._ascend(schur._table_operator(t, tc), (a,), (p,), p, budget.iterations)[0]
+            for a in starts]
 
 
 @pytest.mark.parametrize("restarts", [0, 1])
@@ -737,3 +738,42 @@ def test_bilinear_kernels_at_one_point():
     # at n = 1 the einsum plan takes another path: equal to rounding only
     for got, want in _kernel_pairs(*_kernel_inputs(1, False)):
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+
+# The operators the engine runs on: each adjoint is the gradient of
+# Re<forward(a), d> in its argument.
+@pytest.mark.parametrize("real", [True, False], ids=["real_table", "complex_table"])
+@pytest.mark.parametrize("arity", [2, 3])
+@pytest.mark.parametrize("n", [3, 8, 17])
+def test_table_operator_adjoint_identity(n, arity, real):
+    rng = np.random.default_rng([n, arity, real])
+    t = rng.standard_normal((n,) * arity)
+    if not real:
+        t = t + 1j * rng.standard_normal((n,) * arity)
+    forward, adjoints = schur._table_operator(t, np.conj(t))
+    args = random_pair(rng, n)[:arity - 1]
+    d = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    lhs = np.vdot(forward(args), d).real
+    assert len(adjoints) == len(args)
+    for a, adj in zip(args, adjoints):
+        assert np.vdot(a, adj(d, args)).real == pytest.approx(lhs, rel=1e-12, abs=0)
+
+
+def test_ascend_runs_on_a_matrix_free_operator():
+    # the B2 phi as closures over its n x n factor, with no n^3 table, climbs
+    # to the value the table's operator reaches from the same starts
+    from schurlab.lowerlab import GeometricDiscretization, _b2_factor, phi_table
+
+    d = GeometricDiscretization(0.5, 40, "B2", 16)
+    Phi = _b2_factor(d)
+    op = ((lambda a: Phi * (a[0] @ a[1])),
+          (lambda g, a: (Phi * g) @ a[1].conj().T,
+           lambda g, a: a[0].conj().T @ (Phi * g)))
+    t = phi_table(d)
+    table_op = schur._table_operator(t, np.conj(t, dtype=complex))
+    rng = np.random.default_rng(11)
+    for exps in [(4.0, 4.0, 2.0), (1.5, 3.0, 1.1)]:
+        starts = random_pair(rng, d.n)
+        want = schur._ascend(table_op, starts, exps[:2], exps[2], 20)[0]
+        got = schur._ascend(op, starts, exps[:2], exps[2], 20)[0]
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
