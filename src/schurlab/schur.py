@@ -36,11 +36,12 @@ matrices to real matrices, at a quarter of the complex flops.  Gaussian
 restarts stay complex, and every reported value is an SVD-measured ratio and
 every witness a complex matrix either way.
 
-The search runs its jobs on a thread pool (by default one thread below
-n = POOL_MIN_N) with the bundled OpenBLAS pinned to one thread, restored
-afterwards; the pool starts the longest jobs, the complex ones, first.  Each
-restart draws from its own generator and the outcomes are kept in job order,
-so its results do not depend on the BLAS or pool thread count or schedule.
+The search runs its jobs on a thread pool, or in the calling thread when it
+has one worker (the default below n = POOL_MIN_N), with the bundled OpenBLAS
+pinned to one thread, restored afterwards; either way the longest jobs, the
+complex ones, start first.  Each restart draws from its own generator and the
+outcomes are kept in job order, so its results do not depend on the BLAS or
+pool thread count or schedule.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import suppress
+from contextlib import ExitStack, suppress
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -427,13 +428,13 @@ def norm_lower_search(kind: str, m, X: PointSet, exponents, budget: Budget = Bud
     """Best achieved ratio over seeded candidates plus Gaussian restarts.
 
     The jobs (seeds, then restarts; ``per_restart`` keeps this order) run on
-    ``_pool_threads`` pool threads.  Restart r draws its start from
-    default_rng([budget.seed, r]), so the result is independent of how
-    restarts are distributed over threads; numpy's bundled OpenBLAS runs on
-    one thread meanwhile, which makes it independent of the BLAS thread
-    setting too.  A seed with a zero matrix is a BadParameter.  A seed
-    without imaginary parts on a table without them (real dtype or all-zero
-    imaginary part) runs in float64.
+    ``_pool_threads`` pool threads, or in the calling thread when that is 1.
+    Restart r draws its start from default_rng([budget.seed, r]), so the
+    result is independent of how restarts are distributed over threads;
+    numpy's bundled OpenBLAS runs on one thread meanwhile, which makes it
+    independent of the BLAS thread setting too.  A seed with a zero matrix is
+    a BadParameter.  A seed without imaginary parts on a table without them
+    (real dtype or all-zero imaginary part) runs in float64.
     """
     n = X.n
     workers = _pool_threads(n, len(seeds) + budget.restarts)
@@ -483,8 +484,11 @@ def norm_lower_search(kind: str, m, X: PointSet, exponents, budget: Budget = Bud
     # job to start bounds the pool's wall time
     order = sorted(range(len(jobs)), key=real_jobs.__getitem__)
     outcomes = [None] * len(jobs)
-    with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
-        for i, outcome in zip(order, pool.map(run, [jobs[i] for i in order])):
+    with _one_blas_thread(), ExitStack() as stack:
+        # one worker runs in this thread: on a pool thread the jobs ran 10-60% slower
+        mapped = (map if workers == 1
+                  else stack.enter_context(ThreadPoolExecutor(max_workers=workers)).map)
+        for i, outcome in zip(order, mapped(run, [jobs[i] for i in order])):
             outcomes[i] = outcome
 
     ratio, wit = max(outcomes, key=lambda o: o[0])  # the first best on ties

@@ -33,7 +33,19 @@ from .matrixnum import _one_blas_thread
 
 _I_POWERS = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
 _SUPPORT_TOL = 1e-12  # largest |m| a profile may keep outside its quadrant
+_RADII = (1e-100, 1e100)  # circle radii whose r^3 and r^-3 are finite floats
 TWO_PI = 2.0 * math.pi
+
+
+def _expi(y):
+    """e^{iy} for real y, with cos y and sin y written into one complex array:
+    np.exp(1j * y) without the exp of its zero real part (bitwise equal with
+    numpy 2.4.6, which keeps every C(m) bitwise)."""
+    y = np.asarray(y, dtype=float)
+    out = np.empty(y.shape, dtype=complex)
+    np.cos(y, out=out.real)
+    np.sin(y, out=out.imag)
+    return out[()]  # a scalar for a scalar y, as np.exp gives
 
 
 @dataclass
@@ -68,7 +80,7 @@ def harmonic_symbol(k: int, real: bool = False) -> HomogeneousSymbol:
     parity = "even" if k % 2 == 0 else "odd"
     if real:
         return HomogeneousSymbol(lambda th: np.cos(k * th), parity)
-    return HomogeneousSymbol(lambda th: np.exp(1j * k * th), parity)
+    return HomogeneousSymbol(lambda th: _expi(k * th), parity)
 
 
 def sine_symbol(k: int) -> HomogeneousSymbol:
@@ -128,20 +140,33 @@ def coeff_tail_bound(m: HomogeneousSymbol, K: int) -> float:
     return float(np.sum(np.abs(ks[mask]) * np.abs(big.alphas[mask])))
 
 
+def _expi_grid(x, y0: float, dy: float, n: int):
+    """e^{i x (y0 + j dy)} for j < n at points x (1-d), shaped (n, points): with
+    b = ceil(sqrt(n)) and j = qb + u, a table e^{i x (y0 + qb dy)} times a table
+    e^{i x u dy}, so each point needs about 2 sqrt(n) sines and cosines."""
+    b = math.isqrt(n - 1) + 1
+    q = -(-n // b)
+    outer = _expi(np.multiply.outer(y0 + b * dy * np.arange(q), x))
+    inner = _expi(np.multiply.outer(dy * np.arange(b), x))
+    return (outer[:, None] * inner).reshape(q * b, len(x))[:n]
+
+
 @_one_blas_thread()
 def _phase_sum(x, s0: float, ds: float, c):
     """sum_k c[..., k] e^{i x (s0 + k ds)} for x of any shape, shaped c.shape[:-1] + x.shape.
-    Coarse x fine split: with B = ceil(sqrt(N)) and k = bB + r, a (points x B) table
-    e^{i x r ds} times c in rows of B, weighted by a (points x N/B) table e^{i x (s0 + bB ds)}:
-    O(sqrt N) exponentials and memory per point, within about 1e-14 sum|c| of the dense sum."""
+    Coarse x fine split: with B = ceil(sqrt(N)) and k = bB + r, c in rows of B times a
+    (B x points) table e^{i x r ds}, weighted by an (N/B x points) table e^{i x (s0 + bB ds)}.
+    `_expi_grid` builds each table from two of about sqrt(B) rows, so a point costs about
+    4 N^{1/4} sines and cosines and O(sqrt N) memory, within about 1e-14 sum|c| of the
+    dense sum."""
     x = np.asarray(x, dtype=float)
     B = math.isqrt(c.shape[-1] - 1) + 1
     pad = [(0, 0)] * (c.ndim - 1) + [(0, -c.shape[-1] % B)]
     blocks = np.pad(c, pad).reshape(c.shape[:-1] + (-1, B))
-    xs = x.reshape(-1, 1)
-    fine = np.exp(1j * xs * (ds * np.arange(B)))
-    coarse = np.exp(1j * xs * (s0 + B * ds * np.arange(blocks.shape[-2])))
-    out = np.sum((fine @ blocks.swapaxes(-1, -2)) * coarse, axis=-1)
+    xs = x.reshape(-1)
+    fine = _expi_grid(xs, 0.0, ds, B)
+    coarse = _expi_grid(xs, s0, B * ds, blocks.shape[-2])
+    out = np.sum((blocks @ fine) * coarse, axis=-2)
     return out.reshape(c.shape[:-1] + x.shape)
 
 
@@ -160,7 +185,8 @@ def _kernel_terms(m, z, K):
 
 def kernel_eval(m: HomogeneousSymbol, z, K: int = 256):
     """Truncated kernel sum at z (complex number(s) standing for R^2 points); the sum
-    over k is `_phase_sum`'s coarse x fine split, within about 1e-14 sum|c_k|."""
+    over k is `_phase_sum`'s coarse x fine split, 20 sines and cosines per point at
+    K = 256, within about 1e-14 sum|c_k|."""
     r, _, (sums, _) = _kernel_terms(m, z, K)
     return sums / r ** 2
 
@@ -190,13 +216,16 @@ class SizeSmoothnessReport:
 
 def size_smoothness_check(m: HomogeneousSymbol, radii=(1.0, 10.0), K: int = 256,
                           n_angles: int = 720) -> SizeSmoothnessReport:
-    """Sampled sup of |z|^2 |K(z)| and |z|^3 |grad K(z)| over circles."""
+    """Sampled sup of |z|^2 |K(z)| and |z|^3 |grad K(z)| over circles of radii in
+    _RADII, beyond which r^3 overflows or vanishes and the sup would be nan."""
     radii = np.asarray(radii, dtype=float)
-    if not (radii.ndim == 1 and radii.size and np.all(np.isfinite(radii) & (radii > 0))
+    lo, hi = _RADII
+    if not (radii.ndim == 1 and radii.size and np.all((radii >= lo) & (radii <= hi))
             and n_angles >= 1):
-        raise BadGrid(f"need finite radii > 0 and n_angles >= 1; got {radii}, {n_angles}")
+        raise BadGrid(f"need radii in [{lo:g}, {hi:g}] and n_angles >= 1; "
+                      f"got {radii}, {n_angles}")
     th = TWO_PI * np.arange(n_angles) / n_angles
-    abs_z, arg_z, sums = _kernel_terms(m, radii[:, None] * np.exp(1j * th), K)
+    abs_z, arg_z, sums = _kernel_terms(m, radii[:, None] * _expi(th), K)
     gx, gy = _gradient(abs_z, arg_z, sums)
     c1s = (np.max(np.abs(sums[0] / abs_z ** 2), axis=1) * radii ** 2).tolist()
     c2s = (np.max(np.hypot(np.abs(gx), np.abs(gy)), axis=1) * radii ** 3).tolist()
@@ -220,8 +249,9 @@ class S1Factorization:
 
     def reconstruct(self, xi1, xi2):
         """int g(s) |xi1|^{is} |xi2|^{-is} ds on the quadrant by the trapezoid rule on
-        s_grid; the sum over s is `_phase_sum`'s coarse x fine split, within about
-        1e-14 sum|g w| of the dense sum and with O(sqrt N) memory per point."""
+        s_grid; the sum over s is `_phase_sum`'s coarse x fine split, with about
+        4 N^{1/4} sines and cosines (32 at N = 4096) and O(sqrt N) memory per point,
+        within about 1e-14 sum|g w| of the dense sum."""
         xi1, xi2 = np.asarray(xi1, dtype=float), np.asarray(xi2, dtype=float)
         if not np.all(np.isfinite(xi1) & np.isfinite(xi2)
                       & (self.sigma1 * xi1 > 0) & (self.sigma2 * xi2 > 0)):
@@ -243,10 +273,10 @@ def _uniform_transform(s, t, x):
     j, k = np.arange(N) - (N - 1) / 2, np.arange(T) - (T - 1) / 2
     half_a = ds * dt / 2
     L = 1 << (N + T - 2).bit_length()  # power of two >= N + T - 1: no wrap-around
-    y = np.fft.fft(x * np.exp(-1j * (sc * dt * k + half_a * k ** 2)), L)
-    chirp = np.fft.fft(np.exp(1j * half_a * (np.arange(1 - T, N) - (N - T) / 2) ** 2), L)
+    y = np.fft.fft(x * _expi(-(sc * dt * k + half_a * k ** 2)), L)
+    chirp = np.fft.fft(_expi(half_a * (np.arange(1 - T, N) - (N - T) / 2) ** 2), L)
     conv = np.fft.ifft(y * chirp)[T - 1:T - 1 + N]
-    return np.exp(-1j * (sc * tc + ds * tc * j + half_a * j ** 2)) * conv
+    return _expi(-(sc * tc + ds * tc * j + half_a * j ** 2)) * conv
 
 
 def s1_factorize(m: HomogeneousSymbol, quadrant=( -1, 1), S: float = 40.0,
@@ -256,6 +286,7 @@ def s1_factorize(m: HomogeneousSymbol, quadrant=( -1, 1), S: float = 40.0,
     The profile is checked to vanish (up to _SUPPORT_TOL) outside the open
     quadrant; the t-integral runs over the detected support padded by 2.  g comes
     from Bluestein's chirp-z transform, whose absolute error is about eps log(N + T) max|g|.
+    A C(m) that overflows (the weight grows as S^2) is a BadGrid.
     """
     sigma1, sigma2 = quadrant
     if sigma1 not in (-1, 1) or sigma2 not in (-1, 1):
@@ -289,8 +320,10 @@ def s1_factorize(m: HomogeneousSymbol, quadrant=( -1, 1), S: float = 40.0,
     w[0] *= 0.5
     w[-1] *= 0.5
     g = _uniform_transform(s_grid, t, h * w) / TWO_PI
-    weight = (1.0 + 2.0 * np.abs(s_grid)) ** 2
-    C_m = float(np.trapezoid(np.abs(g) * weight, s_grid))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a BadGrid below
+        weight = (1.0 + 2.0 * np.abs(s_grid)) ** 2
+        C_m = float(np.trapezoid(np.abs(g) * weight, s_grid))
+    _check_constant(C_m, S)
     return S1Factorization(sigma1, sigma2, s_grid, g, C_m, (t_lo, t_hi), t_points)
 
 
@@ -323,5 +356,13 @@ def corollary52_constants(P: SectorPartition, which: int, S: float = 40.0,
     e_k = sign1(gap) changes sign.  So the (1, -1) profile at th + pi is minus
     the (-1, 1) profile at th, h(t) and g(s) change sign, and
     C = int |g(s)| (1+2|s|)^2 ds is the same on both."""
-    return 2.0 * s1_factorize(a_base_profile(P, which, 1), (-1, 1), S=S, N=N,
-                              t_points=t_points).C_m
+    C = 2.0 * s1_factorize(a_base_profile(P, which, 1), (-1, 1), S=S, N=N,
+                           t_points=t_points).C_m
+    return _check_constant(C, S)
+
+
+def _check_constant(C: float, S: float) -> float:
+    """C, or BadGrid when the weight (1+2|s|)^2 out to S made it overflow."""
+    if not math.isfinite(C):
+        raise BadGrid(f"the constant overflows on the grid up to S = {S:g}")
+    return C

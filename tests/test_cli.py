@@ -37,16 +37,18 @@ def test_non_finite_node_is_validation_error(capsys):
 
 
 @pytest.mark.parametrize("grid", [["--N", "1"], ["--N", "0"], ["--S", "0"],
-                                  ["--S", "-5"], ["--S", "nan"], ["--S", "inf"]])
+                                  ["--S", "-5"], ["--S", "nan"], ["--S", "inf"],
+                                  ["--S", "1e150"], ["--S", "1e300"]])
 def test_bad_factorization_grid_is_validation_error(grid, capsys):
     assert main(["symcalc", "factorize", "--which", "3"] + grid) == 2
     assert main(["symcalc", "reconstruct"] + grid) == 2
     assert "BadGrid" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("radii", ["nan", "inf", "0", "-1", "1,nan", ""])
+@pytest.mark.parametrize("radii", ["nan", "inf", "0", "-1", "1,nan", "", "1e300,1", "1e-300",
+                                   "1e110"])
 def test_bad_kernel_radii_is_validation_error(radii, capsys):
-    # --radii nan used to print C1_hat nan and exit 0
+    # --radii nan, 1e300,1, 1e-300 and 1e110 used to print C1_hat or C2_hat nan and exit 0
     assert main(["symcalc", "kernel", "--radii", radii]) == 2
     assert "BadGrid" in capsys.readouterr().err
 

@@ -225,6 +225,25 @@ def test_bad_schurlab_threads_is_bad_budget(monkeypatch, value):
                           Budget(1, 2))
 
 
+def test_one_worker_runs_in_the_calling_thread(monkeypatch):
+    # no pool below POOL_MIN_N: every job on this thread, still the complex
+    # restarts before the real seeds
+    monkeypatch.delenv("SCHURLAB_THREADS", raising=False)
+    monkeypatch.setattr(schur, "ThreadPoolExecutor", None)
+    calls, ascend = [], schur._ascend
+
+    def recorded(op, starts, *args):
+        calls.append((threading.get_ident(), starts[0].dtype.kind))
+        return ascend(op, starts, *args)
+
+    monkeypatch.setattr(schur, "_ascend", recorded)
+    res = norm_lower_search("linear", m_plus_symbol(), PointSet.integers(16), 4.0,
+                            Budget(2, 3, 7), seeds=volterra_candidates(16)[:2])
+    assert {thread for thread, _ in calls} == {threading.get_ident()}
+    assert [kind for _, kind in calls] == ["c", "c", "f", "f"]
+    assert len(res.per_restart) == 4
+
+
 def _pooled_and_serial(monkeypatch, *args, **kwargs):
     """The search with the default pool (two CPUs available) and with one thread."""
     monkeypatch.delenv("SCHURLAB_THREADS", raising=False)

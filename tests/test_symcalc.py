@@ -196,10 +196,11 @@ def test_factorize_support_violation():
 
 @pytest.mark.parametrize("grid", [dict(S=0.0), dict(S=-5.0), dict(S=math.nan),
                                   dict(S=math.inf), dict(N=1), dict(N=0),
-                                  dict(t_points=1), dict(t_points=0)])
+                                  dict(t_points=1), dict(t_points=0),
+                                  dict(S=1e150), dict(S=1e300)])
 def test_factorize_rejects_bad_grid(grid):
     # S <= 0 or N = 1 used to report C = 0.0 or a negative C, S = nan a NaN,
-    # N = 0 and t_points = 1 a bare IndexError
+    # N = 0 and t_points = 1 a bare IndexError, S = 1e150 and 1e300 C = inf
     with pytest.raises(BadGrid):
         s1_factorize(bump_symbol(), (1, 1), **grid)
 
@@ -369,13 +370,36 @@ def test_a_base_profiles_live_in_their_quadrant():
         assert np.max(np.abs(vals[outside])) == 0.0
 
 
-@pytest.mark.parametrize("N", [2, 3, 7, 4096, 4097])
-def test_phase_sum_matches_dense_sum(N, rng):
-    c = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-    x = rng.uniform(-1.0, 1.0, 200)
-    s0, ds = -40.0, 80.0 / (N - 1)
+@pytest.mark.parametrize("x_max, s0, ds, shape", [
+    *[pytest.param(1.0, -40.0, 80.0 / (N - 1), (N,), id=str(N)) for N in (2, 3, 7, 4096, 4097)],
+    # the kernel sums at K = 256: x = arg z, k = -256..256, sums and k-weighted sums
+    pytest.param(math.pi, -256.0, 1.0, (2, 513), id="kernel-K256"),
+    # the reconstruction grid of the bump at S = 160, N = 4096
+    pytest.param(1.0, -160.0, 320.0 / 4095, (4096,), id="reconstruct-S160-N4096"),
+])
+def test_phase_sum_matches_dense_sum(x_max, s0, ds, shape, rng):
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    x = np.append(rng.uniform(-x_max, x_max, 200), x_max)
     err = np.abs(_phase_sum(x, s0, ds, c) - dense_phase_sum(x, s0, ds, c))
     assert np.max(err) <= 1e-13 * np.sum(np.abs(c))
+
+
+@pytest.mark.parametrize("N, per_point", [(4096, 32), (513, 20)])
+def test_phase_sum_needs_about_4_n_quarter_exponentials_per_point(N, per_point, monkeypatch,
+                                                                 rng):
+    # the (64 x 64) tables of N = 4096 from four tables of 8 entries per point, not
+    # 2 sqrt(N) = 128 entries; the kernel sums at K = 256 (N = 513) need 20, not 46
+    entries = []
+    expi = symcalc._expi
+
+    def counted(y):
+        entries.append(np.size(y))
+        return expi(y)
+
+    monkeypatch.setattr(symcalc, "_expi", counted)
+    x = rng.uniform(-1.0, 1.0, 100)
+    _phase_sum(x, -40.0, 80.0 / (N - 1), np.ones((2, N), dtype=complex))
+    assert sum(entries) <= per_point * x.size
 
 
 @pytest.mark.parametrize("shape", [(), (0,), (5,), (3, 4)])
@@ -451,9 +475,11 @@ def test_kernel_rejects_non_finite_points(z):
 
 @pytest.mark.parametrize("radii, n_angles", [((math.nan,), 720), ((1.0, math.inf), 720),
                                              ((0.0,), 720), ((-1.0,), 720), ((), 720),
-                                             ((1.0,), 0), ((1.0,), -3)])
+                                             ((1.0,), 0), ((1.0,), -3), ((1e300, 1.0), 720),
+                                             ((1e-300,), 720), ((1e110,), 720)])
 def test_size_smoothness_rejects_bad_grid(radii, n_angles):
-    # radii = (nan,) used to give c1_hat = nan; () and n_angles = 0 bare errors
+    # radii = (nan,) used to give c1_hat = nan; () and n_angles = 0 bare errors;
+    # 1e300 and 1e-300 nan from r^2 and r^3 overflowing or vanishing, 1e110 c2_hat = nan
     with pytest.raises(BadGrid):
         size_smoothness_check(harmonic_symbol(1), radii=radii, K=8, n_angles=n_angles)
 
