@@ -19,7 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadExponent, BadParameter, check_count, check_exponent
+from .errors import BadBudget, BadExponent, BadParameter, check_count, check_exponent
+
+_MAX_ROWS = 100_000  # rows of asymptotics_table: one Python-level D(p, 2p, 2p) each
 
 
 def log_gamma(x: float) -> float:
@@ -123,9 +125,17 @@ def asymptotics_table(pmin: float = 1.01, pmax: float = 64.0,
     check_exponent("pmax", pmax)
     if pmin >= pmax:
         raise BadParameter(f"need pmin < pmax, got {pmin:g} and {pmax:g}")
-    n = max(2, int(round(points_per_decade * math.log10(pmax / pmin))))
+    decades = math.log10(pmax / pmin)
+    if decades > _MAX_ROWS / points_per_decade:  # exact for ints beyond float range
+        raise BadBudget(f"{points_per_decade} points per decade over {decades:.4g} decades "
+                        f"exceed the budget of {_MAX_ROWS} rows")
+    n = max(2, int(round(points_per_decade * decades)))
     ps = np.geomspace(pmin, pmax, n)
-    dvals = np.asarray([D_constant(ExponentTriple.split(p)) for p in ps])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a BadParameter below
+        dvals = np.asarray([D_constant(ExponentTriple.split(p)) for p in ps])
+    if not np.all(np.isfinite(dvals)):
+        raise BadParameter(f"D(p, 2p, 2p) overflows from p = {ps[~np.isfinite(dvals)][0]:g} "
+                           f"on; need pmax below it, got {pmax:g}")
     pstar = ps / (ps - 1.0)
     ratio = dvals / (ps ** 4 * pstar)
     lower = ps ** 2 * pstar

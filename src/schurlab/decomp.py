@@ -92,6 +92,8 @@ class SectorPartition:
             object.__setattr__(self, "band", self.epsilon / 2)
         if not (math.isfinite(self.band) and self.band > 0):
             raise BadParameter(f"band must be positive and finite, got {self.band}")
+        arcs = np.array([self.arcs(j) for j in (1, 2, 3)])  # (sector, arc, end)
+        object.__setattr__(self, "_arc_table", (arcs[..., :1], np.diff(arcs)))  # start, length
         object.__setattr__(self, "_pieces", self._flat_pieces())
 
     def arcs(self, j: int):
@@ -108,8 +110,7 @@ class SectorPartition:
     def _formula(self, phi):
         """(numerators (3, m), normalizing sum (m,)) of the theta_j on a 1-d
         angle array: the twelve arc smoothsteps at phi and phi + pi in one pass."""
-        arcs = np.array([self.arcs(j) for j in (1, 2, 3)])  # (sector, arc, end)
-        start, length = arcs[..., 0, None], (arcs[..., 1] - arcs[..., 0])[..., None]
+        start, length = self._arc_table  # (sector, arc, 1) each, built once
         inset = self.epsilon / 4
         d = np.mod(np.stack([phi, phi + math.pi])[:, None, None] - start, TWO_PI)
         s = smoothstep(np.stack([(d - inset) / self.band,
@@ -191,11 +192,11 @@ _PSI_DEFS = {
 }
 
 
-def _psi_values(l0, l1, l2):
-    """(psi_1, psi_2, psi_3) on broadcastable arrays, 0 at their poles."""
-    lam = (l0, l1, l2)
-    return [np.divide(lam[a] - lam[b], lam[c] - lam[d], out=np.zeros(np.shape(l0)),
-                      where=lam[c] != lam[d]) for a, b, c, d in _PSI_DEFS.values()]
+def _psi_value(j: int, lam):
+    """psi_j on a triple lam of broadcast arrays, 0 at its poles."""
+    a, b, c, d = _PSI_DEFS[j]
+    return np.divide(lam[a] - lam[b], lam[c] - lam[d], out=np.zeros(np.shape(lam[0])),
+                     where=lam[c] != lam[d])
 
 
 def psi(j: int, triple) -> float:
@@ -204,7 +205,7 @@ def psi(j: int, triple) -> float:
     _, _, c, d = _PSI_DEFS[_check_sector(j)]
     if lam[c] == lam[d]:
         raise PoleHit(f"psi_{j} pole at {triple}")
-    return float(_psi_values(*lam)[j - 1])
+    return float(_psi_value(j, lam))
 
 
 # (sector j, use 1 - psi_j?, k of the sign factor e_k) for a_1 ... a_6
@@ -213,16 +214,15 @@ _A_DEFS = {
     3: (2, False, 3), 4: (2, True, 1),
     5: (3, False, 2), 6: (3, True, 3),
 }
+_E_DEFS = ((1, 0), (2, 1), (2, 0))  # e_k = sign1(l_a - l_b): l1 - l0, l2 - l1, l2 - l0
 
 
 def a_symbol(i: int, triple, P: SectorPartition) -> float:
     """a_i at an off-diagonal triple, with the zero extension off supp(theta)."""
-    if i not in _A_DEFS:
-        raise BadParameter(f"a_i index must be 1, ..., 6, got {i}")
     l0, l1, l2 = map(float, _finite(f"a_{i}", *triple))
     if l0 == l1 == l2:
         raise DiagonalQuery(f"a_{i} undefined on the diagonal, got {triple}")
-    return float(a_values(l0, l1, l2, P)[int(i) - 1])
+    return float(a_value(i, l0, l1, l2, P))
 
 
 # ----------------------------------------------------------------------------
@@ -259,19 +259,32 @@ def two_var_tables(f: ScalarFunction, X: PointSet):
     return divdiff_two_var_grid(f, 2, 1, lam, mu), divdiff_two_var_grid(f, 2, 2, lam, mu)
 
 
+def _a_formula(th_j, psi_j, e_k, complement: bool):
+    """e_k th_j psi_j, or e_k th_j (1 - psi_j), extended by 0 where th_j <= _SUPPORT_FLOOR."""
+    p = 1.0 - psi_j if complement else psi_j
+    return e_k * np.where(th_j > _SUPPORT_FLOOR, th_j * p, 0.0)
+
+
+def a_value(i: int, l0, l1, l2, P: SectorPartition):
+    """a_i alone on broadcastable triples, from one psi_j and one e_k: a_values(...)[i - 1]."""
+    if i not in _A_DEFS:
+        raise BadParameter(f"a_i index must be 1, ..., 6, got {i}")
+    lam = np.broadcast_arrays(*_finite(f"a_{i}", l0, l1, l2))
+    thetas = P.thetas(np.arctan2(lam[2] - lam[1], lam[1] - lam[0]))
+    j, complement, k = _A_DEFS[i]
+    a, b = _E_DEFS[k - 1]
+    return _a_formula(thetas[j - 1], _psi_value(j, lam), sign1(lam[a] - lam[b]), complement)
+
+
 def a_values(l0, l1, l2, P: SectorPartition):
-    """The six a_i on broadcastable arrays of triples.  A diagonal triple gets
-    a finite placeholder, which a_tables overwrites."""
-    l0, l1, l2 = np.broadcast_arrays(*_finite("a_values", l0, l1, l2))
-    thetas = P.thetas(np.arctan2(l2 - l1, l1 - l0))
-    psis = _psi_values(l0, l1, l2)
-    signs = (sign1(l1 - l0), sign1(l2 - l1), sign1(l2 - l0))
-    out = []
-    for j, complement, sgn_idx in _A_DEFS.values():
-        th = thetas[j - 1]
-        p = 1.0 - psis[j - 1] if complement else psis[j - 1]
-        out.append(signs[sgn_idx - 1] * np.where(th > _SUPPORT_FLOOR, th * p, 0.0))
-    return out
+    """The six a_i on broadcastable triples, each psi_j and e_k computed once.  A
+    diagonal triple gets a finite placeholder, which a_tables overwrites."""
+    lam = np.broadcast_arrays(*_finite("a_values", l0, l1, l2))
+    thetas = P.thetas(np.arctan2(lam[2] - lam[1], lam[1] - lam[0]))
+    psis = [_psi_value(j, lam) for j in (1, 2, 3)]
+    signs = [sign1(lam[a] - lam[b]) for a, b in _E_DEFS]
+    return [_a_formula(thetas[j - 1], psis[j - 1], signs[k - 1], complement)
+            for j, complement, k in _A_DEFS.values()]
 
 
 def a_tables(X: PointSet, P: SectorPartition):

@@ -30,11 +30,12 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .errors import (BadExponent, BadParameter, CarlesonViolation, CoefficientBound,
+from .errors import (BadBudget, BadExponent, BadParameter, CarlesonViolation, CoefficientBound,
                      OutOfWindow, ScaleMismatch, check_count, check_exponent)
 from .matrixnum import schatten_norm_from_sv, svd
 
 _BOUND_SLACK = 1.0 + 1e-12
+_CELL_BUDGET = 1 << 26  # bytes one array of complex values over the window's cells may take
 
 
 @dataclass(frozen=True)
@@ -52,6 +53,7 @@ class DyadicSystem:
     def __post_init__(self):
         if self.k_max <= self.k_min:
             raise BadParameter("need k_min < k_max")
+        _check_cells(self, 1)
         depth = self.k_max - self.k_min
         om = tuple(int(b) for b in self.omega) if self.omega else (0,) * depth
         if len(om) != depth or any(b not in (0, 1) for b in om):
@@ -138,6 +140,16 @@ class DyadicSystem:
         if not 0.0 <= x < self.window:
             raise OutOfWindow(f"{x} outside [0, {self.window})")
         return int(x / self.unit)
+
+
+def _check_cells(D: DyadicSystem, entries: int):
+    """BadBudget before anything is allocated, when `entries` complex values on each of
+    the 2^(k_max - k_min) unit cells of D's window take more than _CELL_BUDGET bytes."""
+    depth = D.k_max - D.k_min
+    if 16 * entries > _CELL_BUDGET >> depth:  # 16 entries 2^depth > budget, without 2^depth
+        raise BadBudget(f"levels k_min = {D.k_min} to k_max = {D.k_max} give 2^{depth} cells, "
+                        f"and {entries} complex entries on each take more than the "
+                        f"{_CELL_BUDGET}-byte budget")
 
 
 def _haar_layout(D: DyadicSystem, q: Cube, eta: int):
@@ -464,6 +476,7 @@ def shift_norm_probe(S: ShiftSpec, p1: float, p2: float, p: float,
     check_count("trials", trials)
     check_count("d", d)
     D = S.system
+    _check_cells(D, d * d)
     rng = np.random.default_rng(seed)
     best = 0.0
     for _ in range(trials):

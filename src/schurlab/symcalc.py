@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .decomp import SectorPartition, a_values, smoothstep
+from .decomp import SectorPartition, a_value, smoothstep
 from .errors import (BadGrid, BadParameter, NonFiniteNode, OriginQuery, SupportViolation,
                      check_count)
 from .matrixnum import _one_blas_thread
@@ -35,6 +35,9 @@ _I_POWERS = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
 _SUPPORT_TOL = 1e-12  # largest |m| a profile may keep outside its quadrant
 _RADII = (1e-100, 1e100)  # circle radii whose r^3 and r^-3 are finite floats
 TWO_PI = 2.0 * math.pi
+_PROBE = TWO_PI * np.arange(8192) / 8192  # the support probe of s1_factorize, with its cos, sin
+_PROBE_COS, _PROBE_SIN = np.cos(_PROBE), np.sin(_PROBE)
+_PROBE.flags.writeable = False  # each profile sees this one array and must not write it
 
 
 def _expi(y):
@@ -286,29 +289,30 @@ def s1_factorize(m: HomogeneousSymbol, quadrant=( -1, 1), S: float = 40.0,
     The profile is checked to vanish (up to _SUPPORT_TOL) outside the open
     quadrant; the t-integral runs over the detected support padded by 2.  g comes
     from Bluestein's chirp-z transform, whose absolute error is about eps log(N + T) max|g|.
-    A C(m) that overflows (the weight grows as S^2) is a BadGrid.
+    Grids that alias (`_check_aliasing`) and a C(m) that overflows (the weight grows as
+    S^2) are a BadGrid.
     """
     sigma1, sigma2 = quadrant
     if sigma1 not in (-1, 1) or sigma2 not in (-1, 1):
         raise BadParameter(f"quadrant signs must be +-1, got {quadrant}")
     if not (math.isfinite(S) and S > 0 and N >= 2 and t_points >= 2):
         raise BadGrid(f"need finite S > 0, N >= 2, t_points >= 2; got {S}, {N}, {t_points}")
-    probe = TWO_PI * np.arange(8192) / 8192
-    vals = np.asarray(m.profile(probe), dtype=complex)
-    outside = ~((sigma1 * np.cos(probe) > 0) & (sigma2 * np.sin(probe) > 0))
-    if np.max(np.abs(vals[outside]), initial=0.0) > _SUPPORT_TOL:
+    size = np.abs(np.asarray(m.profile(_PROBE), dtype=complex))
+    outside = ~((sigma1 * _PROBE_COS > 0) & (sigma2 * _PROBE_SIN > 0))
+    if np.max(size[outside], initial=0.0) > _SUPPORT_TOL:
         raise SupportViolation(
             f"symbol mass outside quadrant ({sigma1:+d},{sigma2:+d}) exceeds {_SUPPORT_TOL}")
 
     s_grid = np.linspace(-S, S, N)
     inside = ~outside
-    if np.max(np.abs(vals[inside]), initial=0.0) <= _SUPPORT_TOL:
+    if np.max(size[inside], initial=0.0) <= _SUPPORT_TOL:
         g = np.zeros(N, dtype=complex)
         return S1Factorization(sigma1, sigma2, s_grid, g, 0.0, (-1.0, 1.0), t_points)
 
-    theta_in = probe[inside & (np.abs(vals) > 1e-15)]
-    t_vals = np.log(np.abs(np.cos(theta_in))) - np.log(np.abs(np.sin(theta_in)))
+    kept = inside & (size > 1e-15)
+    t_vals = np.log(np.abs(_PROBE_COS[kept])) - np.log(np.abs(_PROBE_SIN[kept]))
     t_lo, t_hi = float(np.min(t_vals)) - 2.0, float(np.max(t_vals)) + 2.0
+    _check_aliasing(S, N, t_points, t_hi - t_lo)
     t = np.linspace(t_lo, t_hi, t_points)
     h = np.asarray(m.profile(np.mod(np.arctan2(sigma2, sigma1 * np.exp(t)), TWO_PI)),
                    dtype=complex)
@@ -327,9 +331,20 @@ def s1_factorize(m: HomogeneousSymbol, quadrant=( -1, 1), S: float = 40.0,
     return S1Factorization(sigma1, sigma2, s_grid, g, C_m, (t_lo, t_hi), t_points)
 
 
+def _check_aliasing(S: float, N: int, t_points: int, width: float):
+    """BadGrid unless the grids resolve each other: S below pi/dt, where the t-samples
+    of spacing dt = width/(t_points - 1) alias g, and the t-window of that width
+    shorter than 2 pi/ds, the period of the reconstruction sum over s (ds = 2S/(N - 1))."""
+    nyquist, period = math.pi * (t_points - 1) / width, TWO_PI * (N - 1) / (2.0 * S)
+    if not (S < nyquist and width < period):
+        raise BadGrid(f"the grids alias at S = {S:g}: need S < pi/dt = {nyquist:.6g} "
+                      f"(t_points = {t_points}) and the t-window {width:.6g} < 2 pi/ds = "
+                      f"{period:.6g} (N = {N})")
+
+
 def a_base_profile(P: SectorPartition, which: int, sigma: int) -> HomogeneousSymbol:
     """Circle profile of the Toeplitz base of a_which (which in 3..6) restricted
-    to the quadrant (-sigma R_+, sigma R_+): decomp.a_values at the triple
+    to the quadrant (-sigma R_+, sigma R_+): decomp.a_value at the triple
     (-cos th, 0, sin th), whose gaps (l1 - l0, l2 - l1) are (cos th, sin th),
     evaluated at the angles inside the quadrant only, and 0 elsewhere."""
     if not (isinstance(which, (int, np.integer)) and which in (3, 4, 5, 6)):
@@ -342,7 +357,7 @@ def a_base_profile(P: SectorPartition, which: int, sigma: int) -> HomogeneousSym
         c, s = np.cos(th), np.sin(th)
         inside = (-sigma * c > 0) & (sigma * s > 0)
         out = np.zeros(th.shape)
-        out[inside] = a_values(-c[inside], 0.0, s[inside], P)[which - 1]
+        out[inside] = a_value(which, -c[inside], 0.0, s[inside], P)
         return out
 
     return HomogeneousSymbol(profile, "none")

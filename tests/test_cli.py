@@ -38,11 +38,19 @@ def test_non_finite_node_is_validation_error(capsys):
 
 @pytest.mark.parametrize("grid", [["--N", "1"], ["--N", "0"], ["--S", "0"],
                                   ["--S", "-5"], ["--S", "nan"], ["--S", "inf"],
-                                  ["--S", "1e150"], ["--S", "1e300"]])
+                                  ["--S", "1e150"], ["--S", "1e300"],
+                                  ["--S", "1e4"], ["--S", "1e5"]])
 def test_bad_factorization_grid_is_validation_error(grid, capsys):
+    # --S 1e4 and 1e5 alias: reconstruct printed C(m) 746873212 and 4.06e11 with exit 0
     assert main(["symcalc", "factorize", "--which", "3"] + grid) == 2
     assert main(["symcalc", "reconstruct"] + grid) == 2
     assert "BadGrid" in capsys.readouterr().err
+
+
+def test_factorization_defaults_pass_the_aliasing_check(capsys):
+    assert main(["symcalc", "factorize"]) == 0
+    assert main(["symcalc", "reconstruct"]) == 0
+    assert "error" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("radii", ["nan", "inf", "0", "-1", "1,nan", "", "1e300,1", "1e-300",
@@ -101,13 +109,21 @@ def test_bad_parameter_is_named_validation_error(argv, capsys):
     ["dyadic", "probe", "--d", "-1"],
     *(["constants", "table", flag, value]
       for flag, value in (("--pmin", "0"), ("--pmin", "nan"), ("--pmax", "inf"),
-                          ("--pmax", "0"), ("--pmax", "-1"))),
+                          ("--pmax", "0"), ("--pmax", "-1"), ("--pmax", "1e300"),
+                          ("--points-per-decade", "1000000000"))),
+    ["dyadic", "bk", "--kmax", "50"], ["dyadic", "bk", "--kmin", "-100"],
+    ["dyadic", "probe", "--kmax", "50"], ["dyadic", "probe", "--d", "100000"],
 ])
 def test_bad_probe_and_table_ranges_are_named_errors(argv, capsys):
     # the exponents of 0 and --pmin 0 raised ZeroDivisionError, --pmax inf an
     # OverflowError (tracebacks, which would escape main here); the others
-    # printed "error [ValueError]"
-    assert main(argv) == 2
+    # printed "error [ValueError]", except --pmax 1e300 ("slope nan" and
+    # RuntimeWarnings, exit 0) and the sizes, now checked before they allocate:
+    # --points-per-decade 10^9 tried 13.4 GiB, --kmax 50 512 TiB, and --kmin
+    # -100 printed "error [ValueError]: Maximum allowed size exceeded"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error [Bad")
     assert "Traceback" not in err and "[ValueError]" not in err

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from schurlab.constants import (C_BMO, C_constant, C_double_prime,
                                 Cprime_constant, D_constant, ExponentTriple,
                                 asymptotics_table, beta, conj, kappa,
                                 log_gamma, loglog_slope)
-from schurlab.errors import BadExponent
+from schurlab.errors import BadBudget, BadExponent, BadParameter
 
 
 def test_beta_and_conj():
@@ -119,3 +120,22 @@ def test_asymptotics_table():
     top = asymptotics_table(16.0, 64.0, 32)
     slope = loglog_slope(top.ps, top.d_values)
     assert slope == pytest.approx(4.0, abs=0.1)
+
+
+def test_table_row_count_is_checked_before_allocating():
+    # 10^9 points per decade over [1.01, 64] used to allocate 13.4 GiB; 10^400
+    # is past the float range, which the check must not convert it to
+    for points in (10 ** 9, 10 ** 400):
+        with pytest.raises(BadBudget, match="budget of 100000 rows"):
+            asymptotics_table(points_per_decade=points)
+    assert len(asymptotics_table(1.01, 64.0, 55_000).ps) == 99_102
+
+
+def test_table_names_where_d_overflows():
+    # --pmax 1e300 printed "slope nan" with RuntimeWarnings and exit status 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadParameter, match=r"overflows from p = 4\.32713e\+76"):
+            asymptotics_table(1.01, 1e300)
+        tab = asymptotics_table(1.01, 4e76)
+    assert np.all(np.isfinite(tab.d_values)) and math.isfinite(tab.slope_top_decade)

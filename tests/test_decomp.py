@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from conftest import mp_divdiff
 
-from schurlab.decomp import (_FORMULA_CHUNK, SectorPartition, a_symbol, a_tables, a_values,
+from schurlab.decomp import (_FORMULA_CHUNK, SectorPartition, a_symbol, a_tables, a_value,
+                             a_values,
                              decomposition_residual, decomposition_residuals,
                              decomposition_tables, f2_table, f2_values, psi,
                              schur_decomposition_residual, sign1, smoothstep,
@@ -593,3 +594,26 @@ def test_scalar_queries_reject_non_finite_input(P, bad, slot):
         xi[slot] = bad
         with pytest.raises(NonFiniteNode, match="theta"):
             theta(2, xi, P)
+
+
+def test_a_value_is_its_a_values_entry_bitwise_at_zero_gaps(P):
+    # every triple over these coordinates: psi poles, full diagonals and signed
+    # zeros, in the gaps and in the a_i off the supports
+    coords = np.array([-1.0, -0.0, 0.0, 0.5, 1.0])
+    l0, l1, l2 = (g.ravel() for g in np.meshgrid(coords, coords, coords, indexing="ij"))
+    six = a_values(l0, l1, l2, P)
+    for i in range(1, 7):
+        one = a_value(i, l0, l1, l2, P)
+        assert one.dtype == six[i - 1].dtype and one.tobytes() == six[i - 1].tobytes(), i
+    assert any(np.any((a == 0) & np.signbit(a)) for a in six)  # a -0.0 is among them
+    assert np.any((l1 - l0 == 0) | (l2 - l1 == 0) | (l2 - l0 == 0))
+
+
+@pytest.mark.parametrize("epsilon, band", [(math.pi / 32, None), (0.3, 0.05)])
+def test_arc_table_is_the_arcs(epsilon, band):
+    P = SectorPartition(epsilon, band)
+    start, length = P._arc_table
+    assert start.shape == length.shape == (3, 2, 1)
+    for j in (1, 2, 3):
+        for arc, (lo, hi) in enumerate(P.arcs(j)):
+            assert start[j - 1, arc, 0] == lo and length[j - 1, arc, 0] == hi - lo

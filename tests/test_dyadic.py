@@ -12,7 +12,7 @@ from schurlab.dyadic import (Cube, DyadicSystem, ShiftSpec, StepFunction,
                              martingale_difference, paraproduct_apply,
                              random_admissible_spec, rotate_spec, shift_apply,
                              shift_norm_probe, trace_pairing, trilinear_form)
-from schurlab.errors import (BadExponent, CarlesonViolation, CoefficientBound,
+from schurlab.errors import (BadBudget, BadExponent, CarlesonViolation, CoefficientBound,
                              OutOfWindow, ScaleMismatch)
 
 
@@ -339,3 +339,22 @@ def test_probe_and_trilinear_frozen_values(D):
                                       n_cubes=3)
         fs = [random_step(D, rng, d=2) for _ in range(3)]
         assert trilinear_form(spec, *fs) == TRILINEAR_FROZEN[j0]
+
+
+@pytest.mark.parametrize("k_min, k_max", [(-4, 50), (-100, 2), (-19, 4), (0, 10 ** 18)])
+def test_level_range_over_the_cell_budget_is_rejected(k_min, k_max):
+    # --kmax 50 tried to allocate 512 TiB, --kmin -100 raised "Maximum allowed
+    # size exceeded"; 2^23 cells of one complex entry are 128 MiB
+    with pytest.raises(BadBudget, match=f"k_min = {k_min} to k_max = {k_max}"):
+        DyadicSystem(k_min, k_max)
+
+
+def test_cell_budget_admits_its_largest_window():
+    assert DyadicSystem(-18, 4).n_units == 1 << 22  # 64 MiB of complex cells
+
+
+def test_probe_matrix_size_counts_against_the_cell_budget(D):
+    # 64 cells of 257 x 257 complex entries are 64.5 MiB, over the 64 MiB budget
+    spec = random_admissible_spec(D, (1, 1, 1), 3, np.random.default_rng(0))
+    with pytest.raises(BadBudget, match="66049 complex entries"):
+        shift_norm_probe(spec, 4.0, 4.0, 2.0, trials=1, d=257)

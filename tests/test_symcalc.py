@@ -7,8 +7,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from schurlab import symcalc
-from schurlab.decomp import SectorPartition
+from schurlab import decomp, symcalc
+from schurlab.decomp import SectorPartition, a_value, a_values
 from schurlab.errors import (BadBudget, BadGrid, BadParameter, NonFiniteNode,
                              OriginQuery, SupportViolation)
 from schurlab.symcalc import (TWO_PI, HomogeneousSymbol, _phase_sum, _uniform_transform,
@@ -197,10 +197,11 @@ def test_factorize_support_violation():
 @pytest.mark.parametrize("grid", [dict(S=0.0), dict(S=-5.0), dict(S=math.nan),
                                   dict(S=math.inf), dict(N=1), dict(N=0),
                                   dict(t_points=1), dict(t_points=0),
-                                  dict(S=1e150), dict(S=1e300)])
+                                  dict(S=1e150), dict(S=1e300), dict(S=1e4), dict(S=1e5)])
 def test_factorize_rejects_bad_grid(grid):
     # S <= 0 or N = 1 used to report C = 0.0 or a negative C, S = nan a NaN,
-    # N = 0 and t_points = 1 a bare IndexError, S = 1e150 and 1e300 C = inf
+    # N = 0 and t_points = 1 a bare IndexError, S = 1e150 and 1e300 C = inf;
+    # S = 1e4 and 1e5 alias (C 746873212 and 4.06e11, reconstruction errors 1.99, 25.1)
     with pytest.raises(BadGrid):
         s1_factorize(bump_symbol(), (1, 1), **grid)
 
@@ -347,7 +348,7 @@ def _a_closed_form(P, which, sigma, th):
 @pytest.mark.parametrize("sigma", [1, -1])
 @pytest.mark.parametrize("which", [3, 4, 5, 6])
 def test_a_base_profile_matches_closed_form(which, sigma):
-    # the profile goes through decomp.a_values; the closed forms are its oracle
+    # the profile goes through decomp.a_value; the closed forms are its oracle
     P = SectorPartition()
     th = TWO_PI * np.arange(4096) / 4096
     vals = a_base_profile(P, which, sigma).profile(th)
@@ -488,3 +489,81 @@ def test_size_smoothness_rejects_bad_grid(radii, n_angles):
 def test_circle_coeffs_reject_bad_truncation(K):
     with pytest.raises(BadBudget):
         circle_fourier_coeffs(harmonic_symbol(1), K)
+
+
+@pytest.mark.parametrize("sigma", [1, -1])
+@pytest.mark.parametrize("which", [3, 4, 5, 6])
+def test_a_base_profile_is_its_a_values_entry_bitwise(which, sigma):
+    # on the support probe and on the t-grid of a factorization's window, the
+    # profile evaluates a_which alone and must equal that entry of all six
+    P = SectorPartition()
+    prof = a_base_profile(P, which, sigma)
+    fac = s1_factorize(prof, (-sigma, sigma), S=40.0, N=1024, t_points=2048)
+    t = np.linspace(*fac.t_window, fac.t_points)
+    for th in (symcalc._PROBE, np.mod(np.arctan2(sigma, -sigma * np.exp(t)), TWO_PI)):
+        c, s = np.cos(th), np.sin(th)
+        inside = (-sigma * c > 0) & (sigma * s > 0)
+        six = a_values(-c[inside], 0.0, s[inside], P)
+        one = a_value(which, -c[inside], 0.0, s[inside], P)
+        assert one.tobytes() == six[which - 1].tobytes()
+        want = np.zeros(th.shape)
+        want[inside] = six[which - 1]
+        assert np.asarray(prof.profile(th)).tobytes() == want.tobytes()
+
+
+def test_a_base_profile_evaluates_one_psi_and_one_sign(monkeypatch):
+    calls = {"a_values": 0, "_psi_value": 0, "sign1": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in calls:
+        counted(decomp, name)
+    # an a_values imported into symcalc again is counted too
+    monkeypatch.setattr(symcalc, "a_values", decomp.a_values, raising=False)
+    P = SectorPartition()
+    for which in (3, 4, 5, 6):
+        a_base_profile(P, which, 1).profile(symcalc._PROBE)
+    assert calls == {"a_values": 0, "_psi_value": 4, "sign1": 4}
+
+
+def test_support_probe_is_read_only():
+    # every profile sees the one probe array; a profile that wrote into its
+    # argument would change the support of every later factorization
+    with pytest.raises(ValueError, match="read-only"):
+        symcalc._PROBE[0] = 1.0
+
+
+def test_factorize_aliasing_bounds_are_sharp():
+    # with t_points samples over a t-window of width w the samples resolve s up
+    # to pi (t_points - 1)/w; with N points over [-S, S] the reconstruction sum
+    # has period 2 pi (N - 1)/(2S), which must exceed w
+    b = bump_symbol()
+    width = float(np.subtract(*s1_factorize(b, (1, 1), N=256, t_points=512).t_window[::-1]))
+    nyquist = math.pi * 511 / width
+    s1_factorize(b, (1, 1), S=nyquist * (1 - 1e-9), N=4096, t_points=512)
+    with pytest.raises(BadGrid, match="alias"):
+        s1_factorize(b, (1, 1), S=nyquist * (1 + 1e-9), N=4096, t_points=512)
+    S = 100.0
+    edge = 2.0 * S * width / TWO_PI  # the N - 1 at which the period equals the width
+    s1_factorize(b, (1, 1), S=S, N=math.ceil(edge) + 1, t_points=4096)
+    with pytest.raises(BadGrid, match="alias"):
+        s1_factorize(b, (1, 1), S=S, N=math.floor(edge) + 1, t_points=4096)
+
+
+@pytest.mark.parametrize("m, quadrant, grid", [
+    (a_base_profile(SectorPartition(math.pi / 32), 3, 1), (-1, 1), COR52),
+    (a_base_profile(SectorPartition(math.pi / 32), 5, 1), (-1, 1), COR52),
+    (bump_symbol(), (1, 1), {"S": 160.0, "N": 4096, "t_points": 4096}),
+    (bump_symbol(), (1, 1), {"S": 640.0, "N": 16384, "t_points": 8192}),
+    (a_base_profile(SectorPartition(), 4, 1), (-1, 1), {}),
+    (bump_symbol(), (1, 1), {}),
+])
+def test_factorize_keeps_the_grids_in_use(m, quadrant, grid):
+    # the benchmark's COR52 and bump grids, the S = 640 edge-floor grid, the defaults
+    assert math.isfinite(s1_factorize(m, quadrant, **grid).C_m)
